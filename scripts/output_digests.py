@@ -1,0 +1,90 @@
+"""Produce every report and file of the command line and the experiments for
+a fixed set of small inputs, and print one SHA-256 line per output.
+
+Run it on two checkouts and diff the listings to check that a refactor leaves
+every output byte-identical:
+
+    PYTHONPATH=src python scripts/output_digests.py OUTDIR > digests.txt
+
+Covered: ``pipeline`` (aggregate, ``--cells-out``, ``--json-out``) over four
+generated scenes with every sampler, reconstructor, two rates and two seeds;
+``sample`` masks, ``--samples-out`` and ``--seg-out`` for every method, with
+``ssa-refined`` at 1, 20 and 200 refinement steps; ``reconstruct`` outputs
+for every method; the jitter and staleness experiment rows at full precision.
+The exit code, stdout and stderr of every command are outputs too, with
+OUTDIR written as ``<out>`` so that listings from different directories
+compare equal.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+from depthsample import cli, evaluate, imagedata, scenes
+
+HEIGHT, WIDTH = 36, 48
+RATE = "0.03"
+
+
+def run(out: Path, name: str, argv: list[str]) -> None:
+    """Run one command line and keep its exit code, stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.cli(argv)
+    log = f"exit {code}\n{stdout.getvalue()}{stderr.getvalue()}"
+    (out / f"{name}.log").write_text(log.replace(str(out), "<out>"))
+
+
+def main(out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    scene_dir = out / "scenes"
+    run(out, "gen-scenes", ["gen-scenes", "--out", str(scene_dir), "--count", "4",
+                            "--height", str(HEIGHT), "--width", str(WIDTH), "--seed", "7"])
+    run(out, "pipeline", ["pipeline", "--in", str(scene_dir), "--out", str(out / "report.csv"),
+                          "--cells-out", str(out / "cells.csv"),
+                          "--json-out", str(out / "report.json"),
+                          "--method", "random,grid,poisson,sps",
+                          "--recon", "colorization,nearest,bilateral",
+                          "--rate", "0.01,0.03", "--seeds", "0,1"])
+
+    for stem in ("000", "001", "003"):  # piecewise-constant, planar-ramp, textured
+        rgb, gt = str(scene_dir / f"{stem}_rgb.ppm"), str(scene_dir / f"{stem}_depth.pgm")
+        runs = [(m, m, []) for m in ("random", "grid", "poisson", "sps")]
+        runs += [(f"ssa-refined-{steps}", "ssa-refined", ["--gt", gt, "--refine-steps", str(steps)])
+                 for steps in (1, 20, 200)]
+        for name, method, extra in runs:
+            name = f"{stem}-{name}"
+            if method in ("sps", "ssa-refined"):
+                extra = [*extra, "--seg-out", str(out / f"{name}-seg.pgm")]
+            run(out, f"sample-{name}",
+                ["sample", "--method", method, "--rate", RATE, "--seed", "4", "--in", rgb,
+                 "--out", str(out / f"{name}-mask.pgm"),
+                 "--samples-out", str(out / f"{name}-locs.csv"), *extra])
+
+        depth = imagedata.load_pgm16(gt)
+        sparse = imagedata.apply_mask(depth, imagedata.load_mask(out / f"{stem}-poisson-mask.pgm"))
+        imagedata.save_pgm16(sparse, out / f"{stem}-sparse.pgm")
+        for method in ("colorization", "nearest", "bilateral"):
+            run(out, f"reconstruct-{stem}-{method}",
+                ["reconstruct", "--method", method, "--in", str(out / f"{stem}-sparse.pgm"),
+                 "--rgb", rgb, "--out", str(out / f"{stem}-{method}-dense.pgm")])
+
+    cfg = evaluate.ExperimentConfig(samplers=("random", "grid", "poisson", "sps"),
+                                    reconstructors=("colorization", "nearest"),
+                                    rates=(0.02,), seeds=(0, 1))
+    still = [scenes.gen_scene(kind, HEIGHT, WIDTH, 5) for kind in scenes.SCENE_KINDS[:2]]
+    rows = evaluate.jitter_experiment(still, (0.0, 2.0, 5.0), cfg)
+    (out / "jitter.txt").write_text(repr(rows) + "\n")
+    frames = scenes.gen_translating_sequence(HEIGHT, WIDTH, 5, shift_px=2, seed=3)
+    rows = evaluate.temporal_experiment(frames, (0, 1, 2), cfg)
+    (out / "temporal.txt").write_text(repr(rows) + "\n")
+
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out))
+
+
+if __name__ == "__main__":
+    main(Path(sys.argv[1]))

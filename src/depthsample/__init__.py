@@ -77,7 +77,6 @@ from .ssa import (
     refine_locations,
     ssa_sample,
     ssa_weights,
-    temperature,
 )
 from .superpixel import (
     DEFAULT_M,
@@ -111,7 +110,7 @@ __all__ = [
     "centers", "sps_sample",
     # soft sampling
     "SamplingError", "TemperatureSchedule", "SsaConfig", "SoftSample",
-    "temperature", "ssa_weights", "ssa_sample", "bilinear_sample",
+    "ssa_weights", "ssa_sample", "bilinear_sample",
     "hard_sample", "RefineResult", "refine_locations",
     "finite_difference_gradient", "gradient_check",
     # reconstruction

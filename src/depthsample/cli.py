@@ -3,7 +3,8 @@
 Subcommands: sample, reconstruct, eval, pipeline, grad-check, gen-scenes.
 Every option can also come from a ``--config`` file of ``key = value`` lines
 (`#` comments allowed); explicit flags win over the file.  Exit codes: 0 on
-success, 1 on usage errors, 2 on data or validation errors.
+success, 1 on usage errors (found before any input file is read), 2 on data
+or validation errors and when any ``pipeline`` cell fails.
 """
 from __future__ import annotations
 
@@ -14,15 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from . import imagedata, scenes
-from .evaluate import (AGGREGATE_COLUMNS, CELL_COLUMNS, ExperimentConfig, mae,
-                       report_payload, rmse, run_matrix, write_rows_csv, write_rows_json)
-from .imagedata import (DepthMap, SampleSet, apply_mask, load_pgm16, load_ppm,
-                        rgb_to_lab, save_mask, save_pgm16, save_samples, write_pgm16)
+from .evaluate import (AGGREGATE_COLUMNS, CELL_COLUMNS, RECONSTRUCTORS, SAMPLERS,
+                       ExperimentConfig, mae, report_payload, rmse, run_matrix, sample,
+                       write_rows_csv, write_rows_json)
+from .imagedata import (DepthMap, SampleSet, load_pgm16, load_ppm, rgb_to_lab, save_mask,
+                        save_pgm16, save_samples, write_pgm16)
 from .reconstruct import (SolverConfig, bilateral_reconstruct,
                           colorization_reconstruct, nn_reconstruct)
-from .samplers import grid_mask, locations_to_mask, poisson_mask, random_mask, target_count
+from .samplers import locations_to_mask, target_count
 from .ssa import SsaConfig, TemperatureSchedule, gradient_check, refine_locations, ssa_sample
-from .superpixel import sps_sample
 
 
 class _Usage(Exception):
@@ -76,7 +77,7 @@ def _merge_config(args: argparse.Namespace, registry: dict) -> argparse.Namespac
         if dest in cfg:
             try:
                 value = conv(cfg[dest])
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise _Usage(f"config key {dest}: {exc}")
         else:
             value = default
@@ -84,8 +85,22 @@ def _merge_config(args: argparse.Namespace, registry: dict) -> argparse.Namespac
     return args
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+def _rate(text: str) -> float:
+    rate = float(text)
+    if not 0 < rate <= 1:
+        raise argparse.ArgumentTypeError(f"sampling rate must be in (0, 1], got {text}")
+    return rate
+
+
+def _rates(text: str) -> tuple[float, ...]:
+    return tuple(_rate(v) for v in text.split(","))
+
+
+def _workers(text: str) -> int:
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"need at least one worker, got {text}")
+    return workers
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -94,6 +109,22 @@ def _ints(text: str) -> tuple[int, ...]:
 
 def _names(text: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+def _choice(allowed: tuple[str, ...]):
+    """Converter that accepts only the names in ``allowed``."""
+    def convert(text: str) -> str:
+        if text not in allowed:
+            raise argparse.ArgumentTypeError(
+                f"unknown name {text!r}; choose from {', '.join(allowed)}")
+        return text
+    return convert
+
+
+def _choices(allowed: tuple[str, ...]):
+    """Converter for a comma-separated list of names from ``allowed``."""
+    choice = _choice(allowed)
+    return lambda text: tuple(choice(v) for v in _names(text))
 
 
 def _opt(parser, registry, name, conv, default, help_text, required=False):
@@ -123,48 +154,34 @@ def _require(args, registry):
 
 
 def _cmd_sample(args) -> int:
+    refined = args.method == "ssa-refined"
+    if refined and args.gt is None:
+        raise _Usage("--gt is required for --method ssa-refined")
+    if args.seg_out and args.method not in ("sps", "ssa-refined"):
+        raise _Usage("--seg-out applies only to --method sps or ssa-refined")
     rgb = load_ppm(args.infile)
     h, w = rgb.height, rgb.width
     n = target_count(args.rate, h, w)
-    seg = None
-    locations = None
-
-    if args.method == "random":
-        mask = random_mask(h, w, n, args.seed)
-    elif args.method == "grid":
-        mask = grid_mask(h, w, n)
-    elif args.method == "poisson":
-        mask = poisson_mask(h, w, n, args.seed)
-    elif args.method in ("sps", "ssa-refined"):
-        locations, seg = sps_sample(rgb, n, args.m, args.iters, args.seed,
-                                    return_segmentation=True)
-        if args.method == "ssa-refined":
-            if args.gt is None:
-                raise _Usage("--gt is required for --method ssa-refined")
-            gt = load_pgm16(args.gt)
-            if (gt.height, gt.width) != (h, w):
-                raise ValueError("ground-truth depth dimensions differ from the image")
-            targets = _superpixel_depth_targets(seg.labels, gt, locations, args.window)
-            cfg = SsaConfig(window=args.window,
-                            schedule=TemperatureSchedule(args.t_start, args.t_end))
-            result = refine_locations(gt, locations, targets, cfg,
-                                      lr=args.lr, steps=args.refine_steps)
-            locations = result.locations
-            if result.diverged:
-                print("refinement diverged; using best locations seen", file=sys.stderr)
+    mask, locations, seg = sample("sps" if refined else args.method, rgb, n, args.seed,
+                                  args.m, args.iters)
+    if refined:
+        gt = load_pgm16(args.gt)
+        if (gt.height, gt.width) != (h, w):
+            raise ValueError("ground-truth depth dimensions differ from the image")
+        targets = _superpixel_depth_targets(seg.labels, gt, locations, args.window)
+        cfg = SsaConfig(window=args.window,
+                        schedule=TemperatureSchedule(args.t_start, args.t_end))
+        result = refine_locations(gt, locations, targets, cfg,
+                                  lr=args.lr, steps=args.refine_steps)
+        locations = result.locations
+        if result.diverged:
+            print("refinement diverged; using best locations seen", file=sys.stderr)
         mask = locations_to_mask(locations, h, w)
-    else:
-        raise _Usage(f"unknown sampling method {args.method!r}")
 
     save_mask(mask, args.out)
     if args.samples_out:
-        if locations is None:
-            ys, xs = np.nonzero(mask.bits)
-            locations = SampleSet(np.column_stack([xs, ys]).astype(np.float64))
         save_samples(locations, args.samples_out)
     if args.seg_out:
-        if seg is None:
-            raise _Usage("--seg-out applies only to --method sps or ssa-refined")
         write_pgm16(seg.labels.astype(np.uint16), args.seg_out)
     print(f"wrote {mask.count} samples to {args.out}")
     return 0
@@ -209,11 +226,9 @@ def _cmd_reconstruct(args) -> int:
             dense = result.depth
             print(f"converged={str(result.converged).lower()} "
                   f"iterations={result.iterations} residual={result.residual:.3e}")
-        elif args.method == "bilateral":
+        else:
             dense = bilateral_reconstruct(lab, sparse, sigma_s=args.sigma_s,
                                           sigma_c=args.sigma_c, radius=args.radius)
-        else:
-            raise _Usage(f"unknown reconstruction method {args.method!r}")
     save_pgm16(dense, args.out)
     print(f"wrote dense depth to {args.out}")
     return 0
@@ -246,7 +261,7 @@ def _cmd_pipeline(args) -> int:
     for row in failed:
         print(f"  failed {row.scene}/{row.sampler}/{row.reconstructor}: {row.error}",
               file=sys.stderr)
-    return 0
+    return 2 if failed else 0
 
 
 def scenes_from_dir(path: str):
@@ -315,8 +330,9 @@ def _build_parser():
         return p, registries[name]
 
     p, reg = command("sample", "compute a sampling mask from an RGB image")
-    _opt(p, reg, "--method", str, _REQUIRED, "random | grid | poisson | sps | ssa-refined", required=True)
-    _opt(p, reg, "--rate", float, _REQUIRED, "sampling rate, e.g. 0.0025", required=True)
+    _opt(p, reg, "--method", _choice((*SAMPLERS, "ssa-refined")), _REQUIRED,
+         "random | grid | poisson | sps | ssa-refined", required=True)
+    _opt(p, reg, "--rate", _rate, _REQUIRED, "sampling rate in (0, 1], e.g. 0.0025", required=True)
     _opt(p, reg, "--in", str, _REQUIRED, "input RGB image (PPM)", required=True)
     _opt(p, reg, "--out", str, _REQUIRED, "output mask (8-bit PGM)", required=True)
     _opt(p, reg, "--gt", str, None, "ground-truth depth (16-bit PGM); required for ssa-refined")
@@ -332,7 +348,8 @@ def _build_parser():
     _opt(p, reg, "--lr", float, 1e-5, "learning rate for ssa-refined")
 
     p, reg = command("reconstruct", "densify a sparse depth map")
-    _opt(p, reg, "--method", str, _REQUIRED, "colorization | nearest | bilateral", required=True)
+    _opt(p, reg, "--method", _choice(RECONSTRUCTORS), _REQUIRED,
+         "colorization | nearest | bilateral", required=True)
     _opt(p, reg, "--in", str, _REQUIRED, "sparse depth (16-bit PGM)", required=True)
     _opt(p, reg, "--out", str, _REQUIRED, "output dense depth (16-bit PGM)", required=True)
     _opt(p, reg, "--rgb", str, None, "guiding RGB image (PPM)")
@@ -349,14 +366,14 @@ def _build_parser():
     p, reg = command("pipeline", "sample + reconstruct + evaluate a scene directory")
     _opt(p, reg, "--in", str, _REQUIRED, "scene directory (NNN_rgb.ppm / NNN_depth.pgm)", required=True)
     _opt(p, reg, "--out", str, _REQUIRED, "aggregate report CSV", required=True)
-    _opt(p, reg, "--method", _names, ("sps",), "comma-separated samplers")
-    _opt(p, reg, "--recon", _names, ("colorization",), "comma-separated reconstructors")
-    _opt(p, reg, "--rate", _floats, (0.0025,), "comma-separated sampling rates")
+    _opt(p, reg, "--method", _choices(SAMPLERS), ("sps",), "comma-separated samplers")
+    _opt(p, reg, "--recon", _choices(RECONSTRUCTORS), ("colorization",), "comma-separated reconstructors")
+    _opt(p, reg, "--rate", _rates, (0.0025,), "comma-separated sampling rates in (0, 1]")
     _opt(p, reg, "--seeds", _ints, (0,), "comma-separated seeds")
     _opt(p, reg, "--cells-out", str, None, "also write the per-scene cell CSV")
     _opt(p, reg, "--json-out", str, None, "also write a JSON mirror of the report")
     _opt(p, reg, "--timing", _parse_bool, False, "include wall-clock times (breaks byte reproducibility)")
-    _opt(p, reg, "--workers", int, 1, "parallel evaluation threads")
+    _opt(p, reg, "--workers", _workers, 1, "parallel evaluation threads, at least 1")
     _opt(p, reg, "--m", float, 1.0, "superpixel compactness weight")
     _opt(p, reg, "--iters", int, 10, "superpixel refinement sweeps")
     _opt(p, reg, "--sigma-c", float, 10.0, "color affinity bandwidth")

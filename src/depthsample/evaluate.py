@@ -9,6 +9,7 @@ unless explicitly requested, since they would break byte-reproducibility.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -16,16 +17,17 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .imagedata import DepthMap, LabImage, SampleSet, SamplingMask, apply_mask, rgb_to_lab
+from .imagedata import DepthMap, LabImage, RgbImage, SampleSet, SamplingMask, apply_mask, rgb_to_lab
 from .reconstruct import SolverConfig, bilateral_reconstruct, colorization_reconstruct, nn_reconstruct
 from .samplers import grid_mask, locations_to_mask, poisson_mask, random_mask, target_count
 from .scenes import SyntheticScene
-from .superpixel import sps_sample
+from .superpixel import Segmentation, sps_sample
 
 __all__ = [
     "mae",
     "rmse",
     "SAMPLERS",
+    "sample",
     "RECONSTRUCTORS",
     "ExperimentConfig",
     "CellResult",
@@ -187,29 +189,34 @@ def _cell_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _make_mask(sampler: str, scene: SyntheticScene, n: int, seed: int,
-               cfg: ExperimentConfig) -> SamplingMask:
-    h, w = scene.depth.height, scene.depth.width
+def sample(sampler: str, rgb: RgbImage, n: int, seed: int, m: float,
+           iters: int) -> tuple[SamplingMask, SampleSet, Segmentation | None]:
+    """Run a sampler by name: its mask, its continuous locations and, for
+    ``sps``, the segmentation behind them (None for the baselines).
+
+    Baselines report their mask pixels as locations.  Sampler functions are
+    looked up by their module-global names at each call, so rebinding one of
+    them (tracing, output checks) takes effect here.
+    """
+    h, w = rgb.height, rgb.width
+    if sampler == "sps":
+        locations, seg = sps_sample(rgb, n, m, iters, seed, return_segmentation=True)
+        return locations_to_mask(locations, h, w), locations, seg
     if sampler == "random":
-        return random_mask(h, w, n, seed)
-    if sampler == "grid":
-        return grid_mask(h, w, n)
-    if sampler == "poisson":
-        return poisson_mask(h, w, n, seed)
-    if sampler == "sps":
-        locs = sps_sample(scene.rgb, n, cfg.m, cfg.slic_iters, seed)
-        return locations_to_mask(locs, h, w)
-    raise ValueError(f"unknown sampler {sampler!r}, expected one of {SAMPLERS}")
-
-
-def _sample_locations(sampler: str, scene: SyntheticScene, n: int, seed: int,
-                      cfg: ExperimentConfig) -> SampleSet:
-    """Continuous sample locations (baselines report their mask pixels)."""
-    if sampler == "sps":
-        return sps_sample(scene.rgb, n, cfg.m, cfg.slic_iters, seed)
-    mask = _make_mask(sampler, scene, n, seed, cfg)
+        mask = random_mask(h, w, n, seed)
+    elif sampler == "grid":
+        mask = grid_mask(h, w, n)
+    elif sampler == "poisson":
+        mask = poisson_mask(h, w, n, seed)
+    else:
+        raise ValueError(f"unknown sampler {sampler!r}, expected one of {SAMPLERS}")
     ys, xs = np.nonzero(mask.bits)
-    return SampleSet(np.column_stack([xs, ys]).astype(np.float64))
+    return mask, SampleSet(np.column_stack([xs, ys]).astype(np.float64)), None
+
+
+def _cells(outer, cfg: ExperimentConfig):
+    """Every (outer, sampler, reconstructor, rate, seed) cell in canonical order."""
+    return itertools.product(outer, cfg.samplers, cfg.reconstructors, cfg.rates, cfg.seeds)
 
 
 def _reconstruct(recon: str, lab: LabImage, sparse: DepthMap,
@@ -242,14 +249,7 @@ def run_matrix(scenes: list[SyntheticScene], cfg: ExperimentConfig,
     if scene_names is None:
         scene_names = [f"{i:03d}" for i in range(len(scenes))]
     labs = [rgb_to_lab(s.rgb) for s in scenes]
-
-    cells = []
-    for si, scene in enumerate(scenes):
-        for sampler in cfg.samplers:
-            for recon in cfg.reconstructors:
-                for rate in cfg.rates:
-                    for seed in cfg.seeds:
-                        cells.append((si, sampler, recon, rate, seed))
+    cells = _cells(range(len(scenes)), cfg)
 
     def run_cell(cell) -> CellResult:
         si, sampler, recon, rate, seed = cell
@@ -258,7 +258,7 @@ def run_matrix(scenes: list[SyntheticScene], cfg: ExperimentConfig,
         t0 = time.perf_counter()
         try:
             n = target_count(rate, scene.depth.height, scene.depth.width)
-            mask = _make_mask(sampler, scene, n, _cell_seed(seed, si), cfg)
+            mask = sample(sampler, scene.rgb, n, _cell_seed(seed, si), cfg.m, cfg.slic_iters)[0]
             row.samples = mask.count
             row.mae_mm, row.rmse_mm, row.converged = _evaluate_mask(
                 mask, scene, labs[si], recon, cfg)
@@ -279,6 +279,14 @@ def report_payload(report: EvalReport) -> dict:
     """JSON-ready payload: per-cell rows plus the scene-averaged aggregate."""
     return {"cells": [asdict(r) for r in report.sorted_rows()],
             "aggregate": report.aggregate()}
+
+
+def _trend_row(key: str, value, sampler: str, recon: str, rate: float, seed: int,
+               results: list[tuple[float, float, bool]]) -> dict:
+    """One experiment row: the cell and its errors averaged over its evaluations."""
+    return {key: value, "sampler": sampler, "reconstructor": recon, "rate": rate,
+            "seed": seed, "mae_mm": float(np.mean([r[0] for r in results])),
+            "rmse_mm": float(np.mean([r[1] for r in results]))}
 
 
 TEMPORAL_COLUMNS = ["delta_t", "sampler", "reconstructor", "rate", "seed",
@@ -304,27 +312,14 @@ def temporal_experiment(frames: list[SyntheticScene], delta_ts: tuple[int, ...],
     h, w = frames[0].depth.height, frames[0].depth.width
 
     rows = []
-    for dt in delta_ts:
-        for sampler in cfg.samplers:
-            for recon in cfg.reconstructors:
-                for rate in cfg.rates:
-                    for seed in cfg.seeds:
-                        n = target_count(rate, h, w)
-                        maes, rmses = [], []
-                        for t in range(start, len(frames)):
-                            reference = frames[t - dt]
-                            mask = _make_mask(sampler, reference, n,
-                                              _cell_seed(seed, t), cfg)
-                            m_val, r_val, _ = _evaluate_mask(
-                                mask, frames[t], labs[t], recon, cfg)
-                            maes.append(m_val)
-                            rmses.append(r_val)
-                        rows.append({
-                            "delta_t": dt, "sampler": sampler, "reconstructor": recon,
-                            "rate": rate, "seed": seed,
-                            "mae_mm": float(np.mean(maes)),
-                            "rmse_mm": float(np.mean(rmses)),
-                        })
+    for dt, sampler, recon, rate, seed in _cells(delta_ts, cfg):
+        n = target_count(rate, h, w)
+        results = []
+        for t in range(start, len(frames)):
+            mask = sample(sampler, frames[t - dt].rgb, n, _cell_seed(seed, t),
+                          cfg.m, cfg.slic_iters)[0]
+            results.append(_evaluate_mask(mask, frames[t], labs[t], recon, cfg))
+        rows.append(_trend_row("delta_t", dt, sampler, recon, rate, seed, results))
     return rows
 
 
@@ -340,36 +335,22 @@ def jitter_experiment(scenes: list[SyntheticScene], ranges: tuple[float, ...],
     collision resolution, so the sample budget is preserved.  Range 0 draws
     zero noise and reproduces the unperturbed result bit for bit.
     """
-    labs = [rgb_to_lab(s.rgb) for s in scenes]
-    rows = []
     for k in ranges:
         if k < 0:
             raise ValueError(f"jitter range must be non-negative, got {k}")
-        for sampler in cfg.samplers:
-            for recon in cfg.reconstructors:
-                for rate in cfg.rates:
-                    for seed in cfg.seeds:
-                        maes, rmses = [], []
-                        for si, scene in enumerate(scenes):
-                            h, w = scene.depth.height, scene.depth.width
-                            n = target_count(rate, h, w)
-                            locs = _sample_locations(sampler, scene, n,
-                                                     _cell_seed(seed, si), cfg)
-                            rng = np.random.default_rng(
-                                np.random.SeedSequence([seed, si, 7]))
-                            noise = rng.uniform(-k, k, size=(n, 2))
-                            moved = locs.locations + noise
-                            moved[:, 0] = np.clip(moved[:, 0], 0, w - 1)
-                            moved[:, 1] = np.clip(moved[:, 1], 0, h - 1)
-                            mask = locations_to_mask(SampleSet(moved), h, w)
-                            m_val, r_val, _ = _evaluate_mask(
-                                mask, scene, labs[si], recon, cfg)
-                            maes.append(m_val)
-                            rmses.append(r_val)
-                        rows.append({
-                            "jitter_px": k, "sampler": sampler, "reconstructor": recon,
-                            "rate": rate, "seed": seed,
-                            "mae_mm": float(np.mean(maes)),
-                            "rmse_mm": float(np.mean(rmses)),
-                        })
+    labs = [rgb_to_lab(s.rgb) for s in scenes]
+    rows = []
+    for k, sampler, recon, rate, seed in _cells(ranges, cfg):
+        results = []
+        for si, scene in enumerate(scenes):
+            h, w = scene.depth.height, scene.depth.width
+            n = target_count(rate, h, w)
+            locs = sample(sampler, scene.rgb, n, _cell_seed(seed, si), cfg.m, cfg.slic_iters)[1]
+            rng = np.random.default_rng(np.random.SeedSequence([seed, si, 7]))
+            moved = locs.locations + rng.uniform(-k, k, size=(n, 2))
+            moved[:, 0] = np.clip(moved[:, 0], 0, w - 1)
+            moved[:, 1] = np.clip(moved[:, 1], 0, h - 1)
+            mask = locations_to_mask(SampleSet(moved), h, w)
+            results.append(_evaluate_mask(mask, scene, labs[si], recon, cfg))
+        rows.append(_trend_row("jitter_px", k, sampler, recon, rate, seed, results))
     return rows

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .imagedata import DepthMap, SampleSet, SamplingMask, apply_mask, nearest_pixel
+from .imagedata import SampleSet, SamplingMask, nearest_pixel
 
 __all__ = [
     "CapacityError",
@@ -20,7 +20,6 @@ __all__ = [
     "grid_mask",
     "poisson_mask",
     "locations_to_mask",
-    "apply_mask",
 ]
 
 
@@ -39,14 +38,13 @@ def target_count(rate: float, height: int, width: int) -> int:
     """Number of samples for a sampling rate: round(rate * H * W), at least 1.
 
     ``rate`` is the fraction of pixels that receive a depth measurement,
-    e.g. 0.0025 for 0.25%.  Halves round up.
+    e.g. 0.0025 for 0.25%, so it lies in (0, 1].  Halves round up.
     """
-    if rate <= 0:
-        raise ValueError(f"sampling rate must be positive, got {rate}")
+    if not 0 < rate <= 1:
+        raise ValueError(f"sampling rate must be in (0, 1], got {rate}")
     if height < 1 or width < 1:
         raise ValueError("image dimensions must be positive")
-    n = int(math.floor(rate * height * width + 0.5))
-    return max(1, min(n, height * width))
+    return max(1, int(math.floor(rate * height * width + 0.5)))
 
 
 def random_mask(height: int, width: int, n_samples: int, seed: int) -> SamplingMask:

@@ -129,15 +129,10 @@ def gen_scene(kind: str, height: int, width: int, seed: int) -> SyntheticScene:
         raise ValueError(f"unknown scene kind {kind!r}, expected one of {SCENE_KINDS}")
     if height < 4 or width < 4:
         raise ValueError("scenes need at least 4x4 pixels")
-    rng = np.random.default_rng([hash_kind(kind), height, width, seed])
+    rng = np.random.default_rng([SCENE_KINDS.index(kind), height, width, seed])
     rgb, depth, params = _GENERATORS[kind](height, width, rng)
     return SyntheticScene(RgbImage(rgb), DepthMap.from_depth(depth), kind,
                           dict(params, seed=seed))
-
-
-def hash_kind(kind: str) -> int:
-    """Stable small integer for a scene kind (keeps RNG streams distinct)."""
-    return SCENE_KINDS.index(kind)
 
 
 def gen_translating_sequence(height: int, width: int, n_frames: int,

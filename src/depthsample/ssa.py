@@ -20,7 +20,6 @@ __all__ = [
     "TemperatureSchedule",
     "SsaConfig",
     "SoftSample",
-    "temperature",
     "ssa_weights",
     "ssa_sample",
     "bilinear_sample",
@@ -38,7 +37,10 @@ class SamplingError(ValueError):
 
 @dataclass(frozen=True)
 class TemperatureSchedule:
-    """Linear temperature ramp from ``t_start`` at step 0 to ``t_end`` at ``steps``."""
+    """Linear temperature ramp from ``t_start`` at step 0 to ``t_end`` at ``steps``.
+
+    A ramp of no steps stays at ``t_start``.
+    """
 
     t_start: float = 1.0
     t_end: float = 0.1
@@ -52,14 +54,9 @@ class TemperatureSchedule:
 
     def at(self, step: int) -> float:
         if self.steps <= 0:
-            return self.t_end
+            return self.t_start
         frac = min(max(step, 0), self.steps) / self.steps
         return self.t_start + (self.t_end - self.t_start) * frac
-
-
-def temperature(step: int, schedule: TemperatureSchedule) -> float:
-    """Temperature at a training step under a linear annealing schedule."""
-    return schedule.at(step)
 
 
 @dataclass(frozen=True)
@@ -278,7 +275,8 @@ def refine_locations(d: DepthMap, samples: SampleSet, targets: np.ndarray,
 
     Minimizes sum_s (soft_depth(l_s) - target_s)^2 by gradient descent on the
     locations, annealing the temperature linearly from the schedule's start
-    to its end across the given number of steps.  This is a demonstration of
+    at the first step to its end at the last (the schedule's own ``steps`` is
+    replaced by the given number of steps).  This is a demonstration of
     the gradient flow, not a production optimizer: if the loss rises for ten
     consecutive steps the run stops and the best locations seen are returned
     with ``diverged`` set.
@@ -291,10 +289,9 @@ def refine_locations(d: DepthMap, samples: SampleSet, targets: np.ndarray,
     best_loss, best_locs = np.inf, locs.copy()
     streak = 0
     diverged = False
+    schedule = replace(cfg.schedule, steps=steps - 1)
     for step in range(steps):
-        frac = step / (steps - 1) if steps > 1 else 0.0
-        t = cfg.schedule.t_start + (cfg.schedule.t_end - cfg.schedule.t_start) * frac
-        step_cfg = replace(cfg, temperature=t)
+        step_cfg = replace(cfg, temperature=schedule.at(step))
         total = 0.0
         grads = np.zeros_like(locs)
         for i in range(len(locs)):

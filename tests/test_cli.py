@@ -199,6 +199,55 @@ def test_pipeline_csv_header_and_reproducibility(tmp_path, capsys):
     assert "evaluated 8 cells over 2 scenes" in capsys.readouterr().out
 
 
+def test_pipeline_exits_2_when_a_cell_fails(tmp_path, capsys):
+    scene_dir = tmp_path / "scenes"
+    scene_dir.mkdir()
+    save_ppm(gen_scene("step-edge", 16, 20, 0).rgb, scene_dir / "000_rgb.ppm")
+    save_pgm16(DepthMap.from_depth(np.zeros((16, 20))), scene_dir / "000_depth.pgm")
+    out, cells = tmp_path / "report.csv", tmp_path / "cells.csv"
+    code = cli(["pipeline", "--in", str(scene_dir), "--out", str(out), "--cells-out", str(cells),
+                "--method", "grid", "--recon", "nearest", "--rate", "0.05"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "evaluated 1 cells over 1 scenes (1 failed)" in captured.out
+    assert "failed 000/grid/nearest" in captured.err
+    assert out.read_text().startswith("sampler,reconstructor,")
+    assert len(cells.read_text().splitlines()) == 1 + 1
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["sample", "--method", "grid", "--rate", "2"], "sampling rate must be in (0, 1], got 2"),
+    (["sample", "--method", "grid", "--rate", "0"], "sampling rate must be in (0, 1], got 0"),
+    (["sample", "--method", "bogus", "--rate", "0.05"],
+     "'bogus'; choose from random, grid, poisson, sps, ssa-refined"),
+    (["reconstruct", "--method", "bogus"], "'bogus'; choose from colorization, nearest, bilateral"),
+    (["pipeline", "--rate", "0"], "sampling rate must be in (0, 1], got 0"),
+    (["pipeline", "--rate", "0.01,1.5"], "sampling rate must be in (0, 1], got 1.5"),
+    (["pipeline", "--workers", "0"], "need at least one worker, got 0"),
+    (["pipeline", "--method", "sps,bogus"], "'bogus'; choose from random, grid, poisson, sps"),
+    (["pipeline", "--recon", "bogus"], "'bogus'; choose from colorization, nearest, bilateral"),
+])
+def test_bad_configuration_is_a_usage_error_before_any_file_is_read(argv, reason, tmp_path,
+                                                                     capsys):
+    out = tmp_path / "out"
+    assert cli(argv + ["--in", str(tmp_path / "missing"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and reason in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("rate = 2", "config key rate: sampling rate must be in (0, 1], got 2"),
+    ("workers = 0", "config key workers: need at least one worker, got 0"),
+    ("method = bogus", "config key method: unknown name 'bogus'"),
+])
+def test_bad_configuration_from_a_config_file_is_a_usage_error(line, reason, tmp_path, capsys):
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(f"in = {tmp_path / 'missing'}\nout = {tmp_path / 'r.csv'}\n{line}\n")
+    assert cli(["pipeline", "--config", str(cfg)]) == 1
+    assert reason in capsys.readouterr().err
+
+
 def test_pipeline_rejects_empty_scene_dir(tmp_path, capsys):
     empty = tmp_path / "nothing"
     empty.mkdir()
@@ -261,10 +310,11 @@ def test_console_script_is_wired(scene_files, tmp_path):
     assert callable(getattr(importlib.import_module(module_name), attr))
 
     # Run the target in its own process the way pip's generated launcher
-    # does, loading the same depthsample package as this test; where a
-    # launcher is installed, run that too.
+    # does, and as `python -m depthsample`, loading the same depthsample
+    # package as this test; where a launcher is installed, run that too.
     launchers = [[sys.executable, "-c",
-                  f"import sys; from {module_name} import {attr}; sys.exit({attr}())"]]
+                  f"import sys; from {module_name} import {attr}; sys.exit({attr}())"],
+                 [sys.executable, "-m", "depthsample"]]
     if installed := shutil.which("depthsample"):
         launchers.append([installed])
     package_root = str(Path(depthsample.__file__).resolve().parents[1])

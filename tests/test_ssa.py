@@ -1,4 +1,6 @@
 """Soft depth sampling: weights, values, gradients, and location refinement."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from depthsample.ssa import (
     refine_locations,
     ssa_sample,
     ssa_weights,
-    temperature,
 )
 
 
@@ -234,9 +235,13 @@ def test_ssa_sees_past_the_bilinear_cell():
 
 def test_temperature_schedule_endpoints_and_midpoint():
     sched = TemperatureSchedule(1.0, 0.1, steps=100)
-    assert temperature(0, sched) == 1.0
-    assert temperature(100, sched) == pytest.approx(0.1)
-    assert temperature(50, sched) == pytest.approx(0.55)
+    assert sched.at(0) == 1.0
+    assert sched.at(100) == pytest.approx(0.1)
+    assert sched.at(50) == pytest.approx(0.55)
+
+
+def test_zero_length_schedule_stays_at_start():
+    assert TemperatureSchedule(1.0, 0.1, steps=0).at(0) == 1.0
 
 
 def test_temperature_schedule_validation():
@@ -257,6 +262,16 @@ def test_refine_stays_put_when_targets_already_met():
     res = refine_locations(d, SampleSet(locs), targets, cfg, lr=1e-5, steps=50)
     assert np.allclose(res.locations.locations, locs, atol=1e-9)
     assert not res.diverged
+
+
+def test_single_step_refinement_runs_at_start_temperature():
+    d = _random_depth(9, 9, 31)
+    loc = np.array([[4.3, 3.8]])
+    cfg = SsaConfig(window=5, schedule=TemperatureSchedule(2.0, 0.5, steps=100))
+    res = refine_locations(d, SampleSet(loc), np.array([0.0]), cfg, steps=1)
+    hot, cold = (ssa_sample(d, loc[0], replace(cfg, temperature=t)).value for t in (2.0, 0.5))
+    assert hot != cold
+    assert res.losses.tolist() == [hot * hot]
 
 
 def test_refine_walks_up_a_depth_ramp():
