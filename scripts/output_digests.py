@@ -7,7 +7,9 @@ every output byte-identical:
     PYTHONPATH=src python scripts/output_digests.py OUTDIR > digests.txt
 
 Covered: ``pipeline`` (aggregate, ``--cells-out``, ``--json-out``) over four
-generated scenes with every sampler, reconstructor, two rates and two seeds;
+generated scenes with every sampler, reconstructor, two rates and two seeds,
+once serial and once with ``--workers 2``; Poisson-disk masks and radii at
+120x160 with 48 samples for seeds 0-9;
 ``sample`` masks, ``--samples-out`` and ``--seg-out`` for every method, with
 ``ssa-refined`` at 1, 20 and 200 refinement steps; ``reconstruct`` outputs
 for every method; the jitter and staleness experiment rows at full precision.
@@ -23,7 +25,7 @@ import io
 import sys
 from pathlib import Path
 
-from depthsample import cli, evaluate, imagedata, scenes
+from depthsample import cli, evaluate, imagedata, samplers, scenes
 
 HEIGHT, WIDTH = 36, 48
 RATE = "0.03"
@@ -43,12 +45,18 @@ def main(out: Path) -> None:
     scene_dir = out / "scenes"
     run(out, "gen-scenes", ["gen-scenes", "--out", str(scene_dir), "--count", "4",
                             "--height", str(HEIGHT), "--width", str(WIDTH), "--seed", "7"])
-    run(out, "pipeline", ["pipeline", "--in", str(scene_dir), "--out", str(out / "report.csv"),
-                          "--cells-out", str(out / "cells.csv"),
-                          "--json-out", str(out / "report.json"),
-                          "--method", "random,grid,poisson,sps",
-                          "--recon", "colorization,nearest,bilateral",
-                          "--rate", "0.01,0.03", "--seeds", "0,1"])
+    for suffix, workers in (("", "1"), ("-w2", "2")):
+        run(out, f"pipeline{suffix}",
+            ["pipeline", "--in", str(scene_dir), "--out", str(out / f"report{suffix}.csv"),
+             "--cells-out", str(out / f"cells{suffix}.csv"),
+             "--json-out", str(out / f"report{suffix}.json"),
+             "--method", "random,grid,poisson,sps", "--recon", "colorization,nearest,bilateral",
+             "--rate", "0.01,0.03", "--seeds", "0,1", "--workers", workers])
+
+    for seed in range(10):  # the benchmark's image size and budget
+        mask, radius = samplers.poisson_mask(120, 160, 48, seed, return_radius=True)
+        imagedata.save_mask(mask, out / f"poisson-120x160-{seed}-mask.pgm")
+        (out / f"poisson-120x160-{seed}-radius.txt").write_text(repr(radius) + "\n")
 
     for stem in ("000", "001", "003"):  # piecewise-constant, planar-ramp, textured
         rgb, gt = str(scene_dir / f"{stem}_rgb.ppm"), str(scene_dir / f"{stem}_depth.pgm")

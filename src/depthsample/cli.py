@@ -265,7 +265,10 @@ def _cmd_pipeline(args) -> int:
 
 
 def scenes_from_dir(path: str):
-    """Load NNN_rgb.ppm / NNN_depth.pgm pairs from a scene directory."""
+    """Load NNN_rgb.ppm / NNN_depth.pgm pairs from a scene directory.
+
+    Raises ValueError for a scene whose RGB and depth sizes differ.
+    """
     root = Path(path)
     if not root.is_dir():
         raise ValueError(f"{path} is not a directory")
@@ -278,9 +281,11 @@ def scenes_from_dir(path: str):
         depth_path = root / f"{stem}_depth.pgm"
         if not depth_path.exists():
             raise ValueError(f"missing depth file for scene {stem}: {depth_path}")
-        scene = scenes.SyntheticScene(load_ppm(rgb_path), load_pgm16(depth_path),
-                                      kind="file", params={"stem": stem})
-        loaded.append(scene)
+        rgb, depth = load_ppm(rgb_path), load_pgm16(depth_path)
+        if (rgb.height, rgb.width) != (depth.height, depth.width):
+            raise ValueError(f"scene {stem}: RGB is {rgb.height}x{rgb.width} but depth is "
+                             f"{depth.height}x{depth.width}")
+        loaded.append(scenes.SyntheticScene(rgb, depth, kind="file", params={"stem": stem}))
         names.append(stem)
     return loaded, names
 

@@ -9,6 +9,7 @@ unless explicitly requested, since they would break byte-reproducibility.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import time
@@ -219,6 +220,50 @@ def _cells(outer, cfg: ExperimentConfig):
     return itertools.product(outer, cfg.samplers, cfg.reconstructors, cfg.rates, cfg.seeds)
 
 
+def _mask_key(sampler: str, image: int, n: int, seed: int) -> tuple:
+    """What ``sample`` reads for a cell, so that cells with equal keys share
+    one mask: the index of the image it samples, ``n``, and the seed for the
+    samplers that use one (``grid`` and ``sps`` ignore it)."""
+    return sampler, image, n, seed if sampler in ("random", "poisson") else None
+
+
+def _shared_sample(images: list[RgbImage], cfg: ExperimentConfig):
+    """``sample``'s mask and locations over ``images`` for the length of one
+    harness call: each distinct mask (``_mask_key``) is computed once, by the
+    first cell that needs it, and returned again to every later cell with the
+    same key."""
+    made = {}
+
+    def get(sampler: str, image: int, n: int, seed: int):
+        key = _mask_key(sampler, image, n, seed)
+        if key not in made:
+            made[key] = sample(sampler, images[image], n, seed, cfg.m, cfg.slic_iters)[:2]
+        return made[key]
+
+    return get
+
+
+def _attempt(fn, *args) -> tuple[object, str, float]:
+    """``fn(*args)`` as (result, error, seconds).  The error is "" on success,
+    else "Type: message" and the result None: one cell must not kill a run."""
+    t0 = time.perf_counter()
+    try:
+        result, error = fn(*args), ""
+    except Exception as exc:  # recorded by the caller
+        result, error = None, f"{type(exc).__name__}: {exc}"
+    return result, error, time.perf_counter() - t0
+
+
+@contextlib.contextmanager
+def _mapper(workers: int):
+    """An order-keeping ``map``: over a thread pool when ``workers`` > 1."""
+    if workers <= 1:
+        yield map
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield pool.map
+
+
 def _reconstruct(recon: str, lab: LabImage, sparse: DepthMap,
                  cfg: ExperimentConfig) -> tuple[DepthMap, bool]:
     if recon == "colorization":
@@ -242,36 +287,59 @@ def run_matrix(scenes: list[SyntheticScene], cfg: ExperimentConfig,
                scene_names: list[str] | None = None) -> EvalReport:
     """Evaluate every sampler x reconstructor x rate x seed on every scene.
 
-    A failed cell records its error message and the run continues.  With
-    ``cfg.workers`` > 1 cells evaluate in a thread pool; results are ordered
-    by cell identity, not completion, so reports do not depend on scheduling.
+    Each distinct mask (``_mask_key``) is computed once, in a first pass, and
+    shared by every cell that uses it; the cells run in a second pass.  A
+    failed cell, or a cell whose mask failed, records the error message and
+    the run continues.  A cell's ``time_ms`` is its reconstruction and
+    scoring, plus the mask's sampling time on the first cell in canonical
+    order that uses the mask, so the cells' times add up to the run's work.
+    With ``cfg.workers`` > 1 both passes run in a thread pool; results are
+    ordered by cell identity, not completion, so reports do not depend on
+    scheduling.
     """
     if scene_names is None:
         scene_names = [f"{i:03d}" for i in range(len(scenes))]
     labs = [rgb_to_lab(s.rgb) for s in scenes]
-    cells = _cells(range(len(scenes)), cfg)
+    cells = list(_cells(range(len(scenes)), cfg))
 
-    def run_cell(cell) -> CellResult:
-        si, sampler, recon, rate, seed = cell
-        scene = scenes[si]
+    def mask_args(si, sampler, rate, seed):
+        depth = scenes[si].depth
+        return sampler, si, target_count(rate, depth.height, depth.width), _cell_seed(seed, si)
+
+    plans = [_attempt(mask_args, si, sampler, rate, seed)
+             for si, sampler, _, rate, seed in cells]
+    first = {}  # mask key -> index of the first cell, in canonical order, that uses it
+    for i, (args, error, _) in enumerate(plans):
+        if not error:
+            first.setdefault(_mask_key(*args), i)
+
+    def make_mask(i):
+        sampler, si, n, seed = plans[i][0]
+        return sample(sampler, scenes[si].rgb, n, seed, cfg.m, cfg.slic_iters)[0]
+
+    def run_cell(i):
+        si, sampler, recon, rate, seed = cells[i]
         row = CellResult(scene_names[si], sampler, recon, rate, seed)
-        t0 = time.perf_counter()
-        try:
-            n = target_count(rate, scene.depth.height, scene.depth.width)
-            mask = sample(sampler, scene.rgb, n, _cell_seed(seed, si), cfg.m, cfg.slic_iters)[0]
+        args, error, seconds = plans[i]
+        if not error:
+            key = _mask_key(*args)
+            mask, error, sample_s = masks[key]
+            seconds += sample_s if first[key] == i else 0.0
+        if error:
+            row.error = error
+        else:
             row.samples = mask.count
-            row.mae_mm, row.rmse_mm, row.converged = _evaluate_mask(
-                mask, scene, labs[si], recon, cfg)
-        except Exception as exc:  # record and continue; one cell must not kill a run
-            row.error = f"{type(exc).__name__}: {exc}"
-        row.time_ms = (time.perf_counter() - t0) * 1000.0
+            scores, row.error, score_s = _attempt(_evaluate_mask, mask, scenes[si], labs[si],
+                                                  recon, cfg)
+            seconds += score_s
+            if scores is not None:
+                row.mae_mm, row.rmse_mm, row.converged = scores
+        row.time_ms = seconds * 1000.0
         return row
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(c) for c in cells]
+    with _mapper(cfg.workers) as each:
+        masks = dict(zip(first, each(lambda i: _attempt(make_mask, i), first.values())))
+        rows = list(each(run_cell, range(len(cells))))
     return EvalReport(rows)
 
 
@@ -301,7 +369,8 @@ def temporal_experiment(frames: list[SyntheticScene], delta_ts: tuple[int, ...],
     measured and evaluated on the current frame.  Baselines are content
     independent, so their masks are seeded by the current frame index and
     staleness cannot affect them.  Frames before max(delta_ts) are skipped so
-    every delay is averaged over the same evaluation frames.
+    every delay is averaged over the same evaluation frames.  Each distinct
+    mask is sampled once per call and shared (``_shared_sample``).
     """
     if not frames:
         raise ValueError("temporal experiment needs at least one frame")
@@ -310,14 +379,14 @@ def temporal_experiment(frames: list[SyntheticScene], delta_ts: tuple[int, ...],
         raise ValueError(f"sequence of {len(frames)} frames is too short for delay {start}")
     labs = [rgb_to_lab(f.rgb) for f in frames]
     h, w = frames[0].depth.height, frames[0].depth.width
+    sample_frame = _shared_sample([f.rgb for f in frames], cfg)
 
     rows = []
     for dt, sampler, recon, rate, seed in _cells(delta_ts, cfg):
         n = target_count(rate, h, w)
         results = []
         for t in range(start, len(frames)):
-            mask = sample(sampler, frames[t - dt].rgb, n, _cell_seed(seed, t),
-                          cfg.m, cfg.slic_iters)[0]
+            mask = sample_frame(sampler, t - dt, n, _cell_seed(seed, t))[0]
             results.append(_evaluate_mask(mask, frames[t], labs[t], recon, cfg))
         rows.append(_trend_row("delta_t", dt, sampler, recon, rate, seed, results))
     return rows
@@ -333,19 +402,22 @@ def jitter_experiment(scenes: list[SyntheticScene], ranges: tuple[float, ...],
 
     Perturbed locations are clipped to the image and rasterized with
     collision resolution, so the sample budget is preserved.  Range 0 draws
-    zero noise and reproduces the unperturbed result bit for bit.
+    zero noise and reproduces the unperturbed result bit for bit.  Each
+    distinct set of locations is sampled once per call and shared by every
+    range (``_shared_sample``).
     """
     for k in ranges:
         if k < 0:
             raise ValueError(f"jitter range must be non-negative, got {k}")
     labs = [rgb_to_lab(s.rgb) for s in scenes]
+    sample_scene = _shared_sample([s.rgb for s in scenes], cfg)
     rows = []
     for k, sampler, recon, rate, seed in _cells(ranges, cfg):
         results = []
         for si, scene in enumerate(scenes):
             h, w = scene.depth.height, scene.depth.width
             n = target_count(rate, h, w)
-            locs = sample(sampler, scene.rgb, n, _cell_seed(seed, si), cfg.m, cfg.slic_iters)[1]
+            locs = sample_scene(sampler, si, n, _cell_seed(seed, si))[1]
             rng = np.random.default_rng(np.random.SeedSequence([seed, si, 7]))
             moved = locs.locations + rng.uniform(-k, k, size=(n, 2))
             moved[:, 0] = np.clip(moved[:, 0], 0, w - 1)

@@ -108,36 +108,25 @@ def _bridson(height: int, width: int, radius: float, rng: np.random.Generator,
     Standard Bridson dart throwing: keep an active list, propose up to 30
     candidates in the [r, 2r] annulus around a random active point, snap each
     candidate to its nearest pixel, and accept it if no kept point lies closer
-    than ``radius``.  A background grid of cell size r/sqrt(2) limits the
-    neighborhood test to nearby cells.  Generation halts early once ``stop_at``
-    points exist (the bisection probes only need feasibility).
+    than ``radius``.  That test is one lookup in an exclusion raster: each
+    kept point stamps the disc of pixels with d^2 < r^2 around it, and the
+    raster is padded by the disc's reach so stamps need no clipping.
+    Generation halts early once ``stop_at`` points exist (the bisection
+    probes only need feasibility).  ``math.ceil(v - 0.5)`` is
+    ``nearest_pixel`` on a scalar.
     """
-    cell = radius / math.sqrt(2.0)
-    grid_w = int(math.ceil(width / cell))
-    grid_h = int(math.ceil(height / cell))
-    buckets: dict[tuple[int, int], list[int]] = {}
+    pad = math.ceil(radius)
+    reach = np.arange(-pad, pad + 1)
+    disc = reach[:, None] ** 2 + reach[None, :] ** 2 < radius * radius
+    blocked = np.zeros((height + 2 * pad, width + 2 * pad), dtype=bool)
     points: list[tuple[int, int]] = []
-    r2 = radius * radius
-
-    def bucket_of(px: int, py: int) -> tuple[int, int]:
-        return (min(int(py / cell), grid_h - 1), min(int(px / cell), grid_w - 1))
-
-    def far_enough(px: int, py: int) -> bool:
-        by, bx = bucket_of(px, py)
-        for ny in range(max(0, by - 2), min(grid_h, by + 3)):
-            for nx in range(max(0, bx - 2), min(grid_w, bx + 3)):
-                for idx in buckets.get((ny, nx), ()):
-                    qx, qy = points[idx]
-                    if (px - qx) ** 2 + (py - qy) ** 2 < r2:
-                        return False
-        return True
 
     def push(px: int, py: int) -> None:
         points.append((px, py))
-        buckets.setdefault(bucket_of(px, py), []).append(len(points) - 1)
+        blocked[py:py + 2 * pad + 1, px:px + 2 * pad + 1] |= disc
 
-    x0 = int(nearest_pixel(rng.uniform(0, width - 1)))
-    y0 = int(nearest_pixel(rng.uniform(0, height - 1)))
+    x0 = math.ceil(rng.uniform(0, width - 1) - 0.5)
+    y0 = math.ceil(rng.uniform(0, height - 1) - 0.5)
     push(x0, y0)
     active = [0]
 
@@ -148,11 +137,11 @@ def _bridson(height: int, width: int, radius: float, rng: np.random.Generator,
         for _ in range(_BRIDSON_ATTEMPTS):
             rho = rng.uniform(radius, 2 * radius)
             theta = rng.uniform(0.0, 2.0 * math.pi)
-            px = int(nearest_pixel(ax + rho * math.cos(theta)))
-            py = int(nearest_pixel(ay + rho * math.sin(theta)))
+            px = math.ceil(ax + rho * math.cos(theta) - 0.5)
+            py = math.ceil(ay + rho * math.sin(theta) - 0.5)
             if not (0 <= px < width and 0 <= py < height):
                 continue
-            if far_enough(px, py):
+            if not blocked[py + pad, px + pad]:
                 push(px, py)
                 active.append(len(points) - 1)
                 placed = True

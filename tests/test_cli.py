@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import depthsample
+from depthsample import evaluate
 from depthsample.cli import cli
 from depthsample.imagedata import (
     DepthMap,
@@ -213,6 +214,48 @@ def test_pipeline_exits_2_when_a_cell_fails(tmp_path, capsys):
     assert "failed 000/grid/nearest" in captured.err
     assert out.read_text().startswith("sampler,reconstructor,")
     assert len(cells.read_text().splitlines()) == 1 + 1
+
+
+def test_pipeline_rejects_a_scene_whose_rgb_and_depth_sizes_differ(tmp_path, capsys):
+    scene_dir = tmp_path / "scenes"
+    scene_dir.mkdir()
+    save_ppm(gen_scene("step-edge", 16, 20, 0).rgb, scene_dir / "000_rgb.ppm")
+    save_pgm16(gen_scene("step-edge", 18, 20, 0).depth, scene_dir / "000_depth.pgm")
+    out = tmp_path / "report.csv"
+    code = cli(["pipeline", "--in", str(scene_dir), "--out", str(out),
+                "--method", "grid", "--recon", "nearest", "--rate", "0.05"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: scene 000: RGB is 16x20 but depth is 18x20" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_pipeline_exits_2_when_a_shared_mask_fails(tmp_path, capsys, monkeypatch):
+    scene_dir = tmp_path / "scenes"
+    assert cli(["gen-scenes", "--out", str(scene_dir), "--count", "2",
+                "--height", "16", "--width", "20"]) == 0
+    doomed = evaluate._cell_seed(0, 1)  # scene 001, seed 0
+    original = evaluate.poisson_mask
+
+    def flaky(height, width, n, seed):
+        if seed == doomed:
+            raise RuntimeError("poisson sampling saturated")
+        return original(height, width, n, seed)
+
+    monkeypatch.setattr(evaluate, "poisson_mask", flaky)
+    cells = tmp_path / "cells.csv"
+    code = cli(["pipeline", "--in", str(scene_dir), "--out", str(tmp_path / "report.csv"),
+                "--cells-out", str(cells), "--method", "poisson",
+                "--recon", "colorization,nearest,bilateral", "--rate", "0.05", "--seeds", "0,1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "evaluated 12 cells over 2 scenes (3 failed)" in captured.out
+    for recon in ("colorization", "nearest", "bilateral"):
+        assert f"failed 001/poisson/{recon}: RuntimeError: poisson sampling saturated" \
+            in captured.err
+    failed = [line for line in cells.read_text().splitlines() if line.endswith("saturated")]
+    assert len(failed) == 3 and all(line.startswith("001,poisson,") for line in failed)
 
 
 @pytest.mark.parametrize("argv, reason", [

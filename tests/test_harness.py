@@ -1,11 +1,14 @@
 """Error metrics and the experiment harness: the evaluation matrix, the
 mask-staleness and pointing-jitter experiments, and report serialization."""
+import collections
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
 
+from depthsample import evaluate
 from depthsample.evaluate import (
     AGGREGATE_COLUMNS,
     CELL_COLUMNS,
@@ -21,8 +24,8 @@ from depthsample.evaluate import (
     write_rows_csv,
     write_rows_json,
 )
-from depthsample.imagedata import DepthMap
-from depthsample.scenes import SyntheticScene, gen_scene
+from depthsample.imagedata import DepthMap, rgb_to_lab
+from depthsample.scenes import SyntheticScene, gen_scene, gen_translating_sequence
 
 
 def _flat(value, shape=(3, 4)):
@@ -245,3 +248,112 @@ def test_jitter_perturbs_results_and_rejects_negative_ranges():
     assert rough["mae_mm"] != calm["mae_mm"]
     with pytest.raises(ValueError):
         jitter_experiment(scenes, (-1.0,), cfg)
+
+
+# ------------------------------------------------------------ mask reuse
+
+
+def _count_sampling(monkeypatch, delay_s=0.0):
+    """Rebind evaluate.sample to a wrapper that records each call's sampler."""
+    calls = []
+    original = evaluate.sample
+
+    def counted(sampler, *args):
+        calls.append(sampler)
+        time.sleep(delay_s)
+        return original(sampler, *args)
+
+    monkeypatch.setattr(evaluate, "sample", counted)
+    return calls
+
+
+@pytest.mark.parametrize("sampler", ["grid", "sps"])
+def test_unseeded_samplers_ignore_the_seed(sampler):
+    # the mask key drops the seed for these samplers; this is the property it relies on
+    rgb = gen_scene("textured", 16, 20, 0).rgb
+    mask_a, locs_a, _ = evaluate.sample(sampler, rgb, 8, 0, 1.0, 10)
+    mask_b, locs_b, _ = evaluate.sample(sampler, rgb, 8, 987654321, 1.0, 10)
+    assert np.array_equal(mask_a.bits, mask_b.bits)
+    assert np.array_equal(locs_a.locations, locs_b.locations)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_matrix_samples_each_distinct_mask_once(monkeypatch, workers):
+    scenes = [gen_scene("piecewise-constant", 16, 20, s) for s in (0, 1)]
+    cfg = ExperimentConfig(samplers=("random", "grid", "poisson", "sps"),
+                           reconstructors=("colorization", "nearest", "bilateral"),
+                           rates=(0.05,), seeds=(0, 1), workers=workers)
+    calls = _count_sampling(monkeypatch)
+    rows = run_matrix(scenes, cfg).rows
+    # random and poisson once per scene and seed, grid and sps once per scene
+    assert collections.Counter(calls) == {"random": 4, "poisson": 4, "grid": 2, "sps": 2}
+    assert len(rows) == 48
+    for row in rows:  # a shared mask scores exactly as a mask drawn for the cell alone
+        si = int(row.scene)
+        mask = evaluate.sample(row.sampler, scenes[si].rgb, 16, evaluate._cell_seed(row.seed, si),
+                               cfg.m, cfg.slic_iters)[0]
+        alone = evaluate._evaluate_mask(mask, scenes[si], rgb_to_lab(scenes[si].rgb),
+                                        row.reconstructor, cfg)
+        assert row.error == "" and row.samples == 16
+        assert (row.mae_mm, row.rmse_mm, row.converged) == alone
+
+
+def test_matrix_charges_sampling_time_to_the_first_cell_using_the_mask(monkeypatch):
+    scenes = [gen_scene("piecewise-constant", 16, 20, s) for s in (0, 1)]
+    cfg = ExperimentConfig(samplers=("grid",), reconstructors=("nearest", "bilateral"),
+                           rates=(0.05,), seeds=(0, 1))
+    _count_sampling(monkeypatch, delay_s=0.5)
+    rows = run_matrix(scenes, cfg).rows
+    # per scene: (nearest, 0) samples the mask; (nearest, 1), (bilateral, 0/1) reuse it
+    charged = [r.time_ms >= 500.0 for r in rows]
+    assert charged == [True, False, False, False] * 2
+
+
+def test_failed_shared_mask_fails_every_cell_that_uses_it(monkeypatch):
+    scenes = [gen_scene("piecewise-constant", 16, 20, s) for s in (0, 1)]
+    cfg = ExperimentConfig(samplers=("grid", "poisson"),
+                           reconstructors=("colorization", "nearest", "bilateral"),
+                           rates=(0.05,), seeds=(0, 1))
+    healthy = run_matrix(scenes, cfg).rows
+    doomed = evaluate._cell_seed(1, 0)  # scene 0, seed 1
+    original = evaluate.poisson_mask
+    attempts = []
+
+    def flaky(height, width, n, seed):
+        if seed == doomed:
+            attempts.append(seed)
+            raise RuntimeError(f"poisson sampling saturated at 3 < {n} points")
+        return original(height, width, n, seed)
+
+    monkeypatch.setattr(evaluate, "poisson_mask", flaky)
+    rows = run_matrix(scenes, cfg).rows
+    assert attempts == [doomed]
+    for row, ok in zip(rows, healthy):
+        if (row.scene, row.sampler, row.seed) == ("000", "poisson", 1):
+            assert row.error == "RuntimeError: poisson sampling saturated at 3 < 16 points"
+            assert row.samples == 0 and np.isnan(row.mae_mm)
+        else:
+            assert dataclasses.replace(row, time_ms=0.0) == dataclasses.replace(ok, time_ms=0.0)
+    assert sum(bool(r.error) for r in rows) == 3
+
+
+def test_jitter_samples_sps_once_per_scene(monkeypatch):
+    scenes = [gen_scene("piecewise-constant", 16, 20, s) for s in (0, 1)]
+    cfg = ExperimentConfig(samplers=("sps",), reconstructors=("nearest", "bilateral"),
+                           rates=(0.05,), seeds=(0, 1))
+    calls = _count_sampling(monkeypatch)
+    rows = jitter_experiment(scenes, (0.0, 2.0, 5.0), cfg)
+    assert len(rows) == 3 * 2 * 2
+    assert calls == ["sps", "sps"]
+
+
+def test_temporal_samples_sps_once_per_frame_it_reads(monkeypatch):
+    frames = gen_translating_sequence(16, 20, 6, shift_px=2, seed=1)
+    delays = (0, 1, 3)
+    cfg = ExperimentConfig(samplers=("sps",), reconstructors=("nearest", "bilateral"),
+                           rates=(0.05,), seeds=(0, 1))
+    calls = _count_sampling(monkeypatch)
+    rows = temporal_experiment(frames, delays, cfg)
+    assert len(rows) == 3 * 2 * 2
+    read = {t - dt for dt in delays for t in range(max(delays), len(frames))}
+    assert calls == ["sps"] * len(read)

@@ -1,4 +1,6 @@
 """Baseline mask generators: exact budgets, determinism, spacing."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,40 @@ def test_poisson_mask_deterministic():
     a = poisson_mask(48, 48, 20, seed=4)
     b = poisson_mask(48, 48, 20, seed=4)
     assert np.array_equal(a.bits, b.bits)
+
+
+# SHA-256 of poisson_mask(h, w, n, seed, return_radius=True): the mask bits
+# followed by repr(radius).  Recorded from the bucket-grid Bridson this
+# sampler used before its exclusion raster; the last two cases hold 31% of
+# the pixels and reach radius sqrt(2).
+POISSON_GOLDEN = {
+    (120, 160, 48, 0): "872d9883ef1e85d9c92390d0c63b42f79d494034b1ff688a2138b78975ddf07c",
+    (120, 160, 48, 1): "81ed7b423066fd6fdaa0f8eabab7a338f03eba50ed1a5bd36807ac01895b16f4",
+    (120, 160, 48, 2): "6b2a8ecbed52f8ca215b1a2368c06e7c515a0c72285c1bf659b0ef4459b2150c",
+    (120, 160, 48, 3): "f4d22fab47276b4623ba0c60a592e52972c7f7f5b73953d404dba641bf17b6a5",
+    (120, 160, 48, 4): "23c869ccebfb541aa0660a86845ed4df55067ac09c0e2fa8a0d0140b048b557a",
+    (120, 160, 48, 5): "4d322914496f4879f8843e95a45aa39a4fa397e56449639886d234d49aa7f941",
+    (120, 160, 48, 6): "4523db65ba765d762df7dac524ce2dca3579cb8435b74dc1a5dbfaea2d3d490c",
+    (120, 160, 48, 7): "18964dbf71116a75c7ea028be1b0e9677fea8b4c7dca993c2223df45fc18dfea",
+    (120, 160, 48, 8): "cecb236e27f23c9d5da4ce1d3bd180cf95cdec79df0def76f066a2955223daba",
+    (120, 160, 48, 9): "3943e037650a7d470cac87b6f467cc678ae78ae484d0cf9c56a1c34c864edb18",
+    (240, 320, 192, 0): "3aaf1c373edf21c30eb8ac2d2f7a6c60471beeeb541c94dcd58e23fc2520b35b",
+    (240, 320, 192, 1): "c1da1883150e7925a027505380c61b55d9350a85a9fb26cadca9256f41681114",
+    (36, 48, 52, 0): "f7a710d8ae22c6c658763e16b24db354926fbaa63f83410659dfee70298a8e33",
+    (36, 48, 52, 1): "f5ace63893492c3a357b783bab6c482eeadb71f13721eabb1017f8010cb1e32c",
+    (36, 48, 52, 2): "8500687376ac813febca52702300377d774949b72ec2ad403eeb23c84115dcfe",
+    (36, 48, 52, 3): "6ef99e49d62638dd356b1cf3221417f7e570f5f71b6232fd9e4343b3c790d00e",
+    (36, 48, 52, 4): "404709c4381c20a932fe147b381f564c40f7c95de5c942645a9e53aa0d2e9cfb",
+    (24, 32, 240, 0): "a9e6aed07e2cee346b5f7886b8461e6af2cf08aadfda95318f0082254e9201ea",
+    (24, 32, 240, 1): "c7ab7e98fbddb5d45e525d1c53907f7e92f4dae9f7e916af34c6bc4748710f86",
+}
+
+
+@pytest.mark.parametrize("h, w, n, seed", sorted(POISSON_GOLDEN))
+def test_poisson_masks_and_radii_match_golden_digests(h, w, n, seed):
+    mask, radius = poisson_mask(h, w, n, seed, return_radius=True)
+    digest = hashlib.sha256(mask.bits.tobytes() + repr(radius).encode()).hexdigest()
+    assert digest == POISSON_GOLDEN[h, w, n, seed]
 
 
 def test_all_samplers_hit_exact_budgets():
