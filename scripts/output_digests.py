@@ -12,7 +12,10 @@ once serial and once with ``--workers 2``; Poisson-disk masks and radii at
 120x160 with 48 samples for seeds 0-9;
 ``sample`` masks, ``--samples-out`` and ``--seg-out`` for every method, with
 ``ssa-refined`` at 1, 20 and 200 refinement steps; ``reconstruct`` outputs
-for every method; the jitter and staleness experiment rows at full precision.
+for every method; ``sps`` on one 240x320 ``textured`` scene, the size and the
+budget (192 samples) of the benchmark's frames, where connectivity enforcement
+merges the most orphans; the jitter and staleness experiment rows at full
+precision.
 The exit code, stdout and stderr of every command are outputs too, with
 OUTDIR written as ``<out>`` so that listings from different directories
 compare equal.
@@ -79,6 +82,16 @@ def main(out: Path) -> None:
             run(out, f"reconstruct-{stem}-{method}",
                 ["reconstruct", "--method", method, "--in", str(out / f"{stem}-sparse.pgm"),
                  "--rgb", rgb, "--out", str(out / f"{stem}-{method}-dense.pgm")])
+
+    big_dir = out / "scenes-240x320"
+    run(out, "gen-scenes-240x320", ["gen-scenes", "--out", str(big_dir), "--count", "1",
+                                    "--kinds", "textured", "--height", "240", "--width", "320",
+                                    "--seed", "7"])
+    run(out, "sample-textured-240x320-sps",
+        ["sample", "--method", "sps", "--rate", "0.0025", "--in", str(big_dir / "000_rgb.ppm"),
+         "--out", str(out / "textured-240x320-sps-mask.pgm"),
+         "--samples-out", str(out / "textured-240x320-sps-locs.csv"),
+         "--seg-out", str(out / "textured-240x320-sps-seg.pgm")])
 
     cfg = evaluate.ExperimentConfig(samplers=("random", "grid", "poisson", "sps"),
                                     reconstructors=("colorization", "nearest"),

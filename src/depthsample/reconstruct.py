@@ -31,6 +31,9 @@ __all__ = [
     "bilateral_reconstruct",
 ]
 
+# the smallest degree whose reciprocal is finite; rows below it are left zero
+_MIN_DEGREE = np.finfo(np.float64).tiny
+
 _OFFSETS_8 = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
 
 
@@ -40,7 +43,8 @@ class AffinityGraph:
 
     ``weights`` is an (H*W, H*W) CSR matrix whose rows sum to 1; ``degrees``
     keeps the unnormalized Gaussian row sums so the symmetric Laplacian can
-    be recovered (raw = diag(degrees) @ weights).
+    be recovered (raw = diag(degrees) @ weights).  A row whose degree is
+    below the smallest normal float is all zero: its affinities underflowed.
     """
 
     weights: sp.csr_matrix
@@ -74,6 +78,8 @@ def build_affinity(lab: LabImage, sigma_c: float = 10.0) -> AffinityGraph:
     w_ij = exp(-||lab_i - lab_j||^2 / (2 sigma_c^2)) for neighboring pixels,
     then each row is divided by its sum.  The raw kernel is symmetric; the
     normalization is what makes rows stochastic (and the matrix asymmetric).
+    Rows whose sum is below the smallest normal float (its reciprocal
+    overflows) stay zero.
     """
     if sigma_c <= 0:
         raise ValueError(f"sigma_c must be positive, got {sigma_c}")
@@ -95,7 +101,8 @@ def build_affinity(lab: LabImage, sigma_c: float = 10.0) -> AffinityGraph:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
     degrees = np.asarray(raw.sum(axis=1)).ravel()
-    normalized = sp.diags(1.0 / degrees) @ raw
+    inv = np.divide(1.0, degrees, out=np.zeros_like(degrees), where=degrees >= _MIN_DEGREE)
+    normalized = sp.diags(inv) @ raw
     return AffinityGraph(normalized.tocsr(), degrees, h, w)
 
 
@@ -166,7 +173,11 @@ def colorization_reconstruct(lab: LabImage, sparse_depth: DepthMap,
     symmetric positive definite; a Jacobi-preconditioned CG warm-started
     from the nearest-sample reconstruction solves it.  Sampled pixels pass
     through bit-exactly, and since the solution is a convex combination of
-    the samples it obeys their min/max (up to solver tolerance).
+    the samples it obeys their min/max (up to solver tolerance).  An
+    unknown pixel whose affinities all underflow (its degree is below the
+    smallest normal float) has no equation of its own; it takes its
+    nearest-sample value and is held fixed like a sample while the rest is
+    solved.
     """
     if (lab.height, lab.width) != (sparse_depth.height, sparse_depth.width):
         raise ValueError("image and depth dimensions differ")
@@ -180,15 +191,16 @@ def colorization_reconstruct(lab: LabImage, sparse_depth: DepthMap,
     graph = build_affinity(lab, cfg.sigma_c)
     raw = sp.diags(graph.degrees) @ graph.weights   # symmetric Gaussian kernel
     lap = sp.diags(graph.degrees) - raw
-    unknown = ~constrained
+    full = np.where(constrained, sparse_depth.depth.ravel(),
+                    nn_reconstruct(sparse_depth).depth.ravel())
+    unknown = ~constrained & (graph.degrees >= _MIN_DEGREE)
+    fixed = ~unknown
     d_c = sparse_depth.depth.ravel()[constrained]
     A = lap[unknown][:, unknown].tocsr()
-    b = np.asarray(raw[unknown][:, constrained] @ d_c).ravel()
+    b = np.asarray(raw[unknown][:, fixed] @ full[fixed]).ravel()
 
-    x0 = nn_reconstruct(sparse_depth).depth.ravel()[unknown]
-    x, converged, iters, residual = _jacobi_cg(A, b, x0, cfg.tol, cfg.max_iters)
+    x, converged, iters, residual = _jacobi_cg(A, b, full[unknown], cfg.tol, cfg.max_iters)
 
-    full = sparse_depth.depth.ravel().copy()
     # The exact solution is a convex combination of the samples, so clipping
     # the approximate one to their range only ever moves it closer to exact.
     full[unknown] = np.clip(x, d_c.min(), d_c.max())

@@ -170,41 +170,63 @@ def _enforce_connectivity(labels: np.ndarray, n: int) -> np.ndarray:
     Each orphan component is relabeled to whichever adjacent label currently
     owns the most pixels (ties to the smaller label id); orphans are processed
     in (label, component) order so the result is deterministic.
-    """
-    labels = labels.copy()
-    h, w = labels.shape
-    orphans = []
-    for s in range(n):
-        mask = labels == s
-        if not mask.any():
-            continue
-        comps, ncomp = ndimage.label(mask, structure=_FOUR_CONNECTED)
-        if ncomp <= 1:
-            continue
-        sizes = np.bincount(comps.ravel())
-        main = int(np.argmax(sizes[1:])) + 1
-        for c in range(1, ncomp + 1):
-            if c != main:
-                orphans.append(np.nonzero(comps == c))
 
-    if not orphans:
-        return labels
-    counts = np.bincount(labels.ravel(), minlength=n)
-    for ys, xs in orphans:
-        neigh = set()
-        own = labels[ys[0], xs[0]]
-        for dy, dx in ((0, 1), (1, 0), (0, -1), (-1, 0)):
-            ny, nx = ys + dy, xs + dx
-            ok = (ny >= 0) & (ny < h) & (nx >= 0) & (nx < w)
-            neigh.update(np.unique(labels[ny[ok], nx[ok]]).tolist())
-        neigh.discard(int(own))
-        if not neigh:  # the whole image is one label; nothing to merge into
+    One labelling pass finds the components of every label at once: pixels
+    sit at the even nodes of a (2H-1) x (2W-1) grid, and the node between
+    two 4-neighbors is set when their labels agree.  Components come out
+    numbered in pixel scan order, as a per-label labelling would number
+    them.  The merge then runs over a component adjacency list, which is
+    exact because a component only ever changes label as a whole: the
+    labels next to an orphan are the current labels of its adjacent
+    components.
+    """
+    h, w = labels.shape
+    grid = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
+    grid[::2, ::2] = True
+    grid[::2, 1::2] = labels[:, 1:] == labels[:, :-1]
+    grid[1::2, ::2] = labels[1:] == labels[:-1]
+    comps, ncomp = ndimage.label(grid, structure=_FOUR_CONNECTED)
+    comps = comps[::2, ::2]
+    comp_label = np.zeros(ncomp + 1, dtype=labels.dtype)
+    comp_label[comps.ravel()] = labels.ravel()
+    sizes = np.bincount(comps.ravel(), minlength=ncomp + 1)
+
+    # the main component of a label is its largest; lexsort is stable, so
+    # ties go to the earliest in scan order
+    order = np.lexsort((-sizes[1:], comp_label[1:])) + 1
+    main = np.ones(ncomp, dtype=bool)
+    main[1:] = comp_label[order[1:]] != comp_label[order[:-1]]
+    is_orphan = np.zeros(ncomp + 1, dtype=bool)
+    is_orphan[order[~main]] = True
+    orphans = np.nonzero(is_orphan)[0]
+    if len(orphans) == 0:
+        return labels.copy()
+    orphans = orphans[np.argsort(comp_label[orphans], kind="stable")]
+
+    # (orphan, neighbor component) pairs, sorted by orphan
+    a = np.concatenate([comps[:, :-1].ravel(), comps[:-1].ravel()])
+    b = np.concatenate([comps[:, 1:].ravel(), comps[1:].ravel()])
+    cut = a != b
+    a, b = np.concatenate([a[cut], b[cut]]), np.concatenate([b[cut], a[cut]])
+    keep = is_orphan[a]
+    src, dst = np.divmod(np.unique(a[keep].astype(np.int64) * (ncomp + 1) + b[keep]), ncomp + 1)
+    starts = np.searchsorted(src, orphans).tolist()
+    ends = np.searchsorted(src, orphans, side="right").tolist()
+
+    owner = comp_label.tolist()
+    counts = np.bincount(labels.ravel(), minlength=n).tolist()
+    sizes, dst = sizes.tolist(), dst.tolist()
+    for c, lo, hi in zip(orphans.tolist(), starts, ends):
+        own = owner[c]
+        neigh = {owner[d] for d in dst[lo:hi]}
+        neigh.discard(own)
+        if not neigh:  # no other label touches it; nothing to merge into
             continue
         target = max(neigh, key=lambda t: (counts[t], -t))
-        counts[own] -= len(ys)
-        counts[target] += len(ys)
-        labels[ys, xs] = target
-    return labels
+        counts[own] -= sizes[c]
+        counts[target] += sizes[c]
+        owner[c] = target
+    return np.asarray(owner, dtype=labels.dtype)[comps]
 
 
 def _fill_empty(labels: np.ndarray, seeds: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from depthsample import evaluate
 from depthsample.cli import cli
 from depthsample.imagedata import (
     DepthMap,
+    RgbImage,
     load_mask,
     load_pgm16,
     load_samples,
@@ -137,6 +138,19 @@ def test_reconstruct_colorization_requires_rgb(scene_files, tmp_path, capsys):
                 "--in", str(depth), "--out", str(tmp_path / "d.pgm")])
     assert code == 1
     assert "--rgb" in capsys.readouterr().err
+
+
+def test_reconstruct_colorization_with_narrow_bandwidth_on_random_colors(tmp_path):
+    rng = np.random.default_rng(3)
+    rgb = tmp_path / "noise.ppm"
+    save_ppm(RgbImage(rng.integers(0, 256, size=(12, 16, 3), dtype=np.uint8)), rgb)
+    depth = np.where(rng.random((12, 16)) < 0.2, rng.uniform(500, 20000, size=(12, 16)), 0.0)
+    sparse_path = tmp_path / "sparse.pgm"
+    save_pgm16(DepthMap.from_depth(depth), sparse_path)
+    out = tmp_path / "dense.pgm"
+    assert cli(["reconstruct", "--method", "colorization", "--sigma-c", "1",
+                "--rgb", str(rgb), "--in", str(sparse_path), "--out", str(out)]) == 0
+    assert load_pgm16(out).valid.all()
 
 
 def test_reconstruct_rejects_mismatched_dimensions(scene_files, tmp_path, capsys):

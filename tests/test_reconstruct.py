@@ -203,6 +203,28 @@ def test_convergence_flag_honest_when_starved():
     assert res.residual > 1e-12
 
 
+@pytest.mark.parametrize("sigma_c", [1.0, 2.0])
+def test_pixels_whose_affinities_underflow_take_the_nearest_sample(sigma_c):
+    """With a narrow color bandwidth on iid colors, every affinity of some
+    pixels underflows; those pixels have no equation and keep the nearest
+    sample's depth, and the rest of the solve stays finite."""
+    lab = _random_lab(12, 16, 3)
+    rng = np.random.default_rng(4)
+    depth = rng.uniform(500, 20000, size=(12, 16))
+    mask = rng.random((12, 16)) < 0.2
+    sparse = _sparse(depth, mask)
+    graph = build_affinity(lab, sigma_c)
+    assert np.isfinite(graph.weights.data).all()
+    isolated = (graph.degrees < np.finfo(np.float64).tiny).reshape(12, 16) & ~mask
+    assert isolated.any()
+
+    res = colorization_reconstruct(lab, sparse, SolverConfig(sigma_c=sigma_c))
+    assert np.isfinite(res.depth.depth).all()
+    assert np.array_equal(res.depth.depth[mask], depth[mask])
+    nearest = nn_reconstruct(sparse).depth
+    assert np.array_equal(res.depth.depth[isolated], nearest[isolated])
+
+
 # ---------------------------------------------------------------- nearest
 
 def test_nn_single_sample_floods():

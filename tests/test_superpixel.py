@@ -1,8 +1,12 @@
 """Localized k-means clustering, soft association, loss, and sps placement."""
+import hashlib
+
 import numpy as np
 import pytest
 
+from depthsample import superpixel
 from depthsample.imagedata import RgbImage, nearest_pixel
+from depthsample.scenes import SCENE_KINDS, gen_scene
 from depthsample.superpixel import (
     Segmentation,
     SoftAssociation,
@@ -172,6 +176,153 @@ def test_iterate_deterministic():
     b = slic_iterate(slic_init(lab, 6), lab, iters=8)
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.seeds, b.seeds)
+
+
+# ---------------------------------------------------------------- connectivity
+
+def _reference_enforce_connectivity(labels, n):
+    """The per-label connectivity pass: one whole-image labelling per label
+    and one whole-image scan per orphan.  The one-pass version must match it."""
+    from scipy import ndimage
+
+    four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    labels = labels.copy()
+    h, w = labels.shape
+    orphans = []
+    for s in range(n):
+        mask = labels == s
+        if not mask.any():
+            continue
+        comps, ncomp = ndimage.label(mask, structure=four)
+        if ncomp <= 1:
+            continue
+        sizes = np.bincount(comps.ravel())
+        main = int(np.argmax(sizes[1:])) + 1
+        for c in range(1, ncomp + 1):
+            if c != main:
+                orphans.append(np.nonzero(comps == c))
+
+    if not orphans:
+        return labels
+    counts = np.bincount(labels.ravel(), minlength=n)
+    for ys, xs in orphans:
+        neigh = set()
+        own = labels[ys[0], xs[0]]
+        for dy, dx in ((0, 1), (1, 0), (0, -1), (-1, 0)):
+            ny, nx = ys + dy, xs + dx
+            ok = (ny >= 0) & (ny < h) & (nx >= 0) & (nx < w)
+            neigh.update(np.unique(labels[ny[ok], nx[ok]]).tolist())
+        neigh.discard(int(own))
+        if not neigh:
+            continue
+        target = max(neigh, key=lambda t: (counts[t], -t))
+        counts[own] -= len(ys)
+        counts[target] += len(ys)
+        labels[ys, xs] = target
+    return labels
+
+
+def _assert_matches_reference(labels, n):
+    got = superpixel._enforce_connectivity(labels, n)
+    want = _reference_enforce_connectivity(labels, n)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("height, width, n", [(120, 160, 48), (240, 320, 192)])
+@pytest.mark.parametrize("kind", SCENE_KINDS)
+def test_connectivity_matches_reference_on_slic_maps(kind, height, width, n, monkeypatch):
+    captured = []
+    enforce = superpixel._enforce_connectivity
+
+    def capture(labels, n_labels):
+        captured.append((labels.copy(), n_labels))
+        return enforce(labels, n_labels)
+
+    monkeypatch.setattr(superpixel, "_enforce_connectivity", capture)
+    sps_sample(gen_scene(kind, height, width, 1).rgb, n)
+    monkeypatch.undo()
+    assert len(captured) == 1
+    _assert_matches_reference(*captured[0])
+
+
+def test_connectivity_matches_reference_on_random_and_blocky_maps():
+    rng = np.random.default_rng(5)
+    for case in range(240):
+        h, w = (int(v) for v in rng.integers(1, 14, size=2))
+        if case % 6 == 0:
+            h = 1
+        elif case % 6 == 1:
+            w = 1
+        n = int(rng.integers(1, 9))
+        if case % 2:  # blocks of a coarse map, some pixels flipped
+            by, bx = (int(v) for v in rng.integers(1, 4, size=2))
+            coarse = rng.integers(0, n, size=(-(-h // by), -(-w // bx)))
+            labels = np.repeat(np.repeat(coarse, by, axis=0), bx, axis=1)[:h, :w]
+            flip = rng.random((h, w)) < 0.1
+            labels = np.where(flip, rng.integers(0, n, size=(h, w)), labels)
+        else:
+            labels = rng.integers(0, n, size=(h, w))
+        dtype = np.int32 if case % 3 else np.int64
+        _assert_matches_reference(np.ascontiguousarray(labels, dtype=dtype), n)
+
+
+def test_connectivity_single_label_image_is_unchanged():
+    labels = np.zeros((7, 9), dtype=np.int32)
+    _assert_matches_reference(labels, 1)
+    assert np.array_equal(superpixel._enforce_connectivity(labels, 1), labels)
+
+
+def test_connectivity_orphan_left_without_a_neighbor_keeps_its_label():
+    # the label-0 orphan at x=6 merges into label 1 first; the label-1 orphan
+    # at x=7 then touches only label 1, so it has nothing to merge into
+    labels = np.array([[0, 0, 0, 1, 1, 1, 0, 1]], dtype=np.int32)
+    _assert_matches_reference(labels, 2)
+    got = superpixel._enforce_connectivity(labels, 2)
+    assert got.tolist() == [[0, 0, 0, 1, 1, 1, 1, 1]]
+
+
+# SHA-256 of the int32 labels and the float64 locations of
+# sps_sample(gen_scene(kind, h, w, 1).rgb, n, return_segmentation=True),
+# recorded with the per-label connectivity pass
+_SPS_GOLDEN = [
+    ("piecewise-constant", 120, 160, 48,
+     "eba9fa2de99fd839619283212956d0739492e8e18208f1f008e5e7195c7f6b90",
+     "2ac0c3c0733c1c963487b71b89d790d0e18bd9cbcc9c9e368de33e69c9d77530"),
+    ("planar-ramp", 120, 160, 48,
+     "c28017f749f0185079dde609e84056609584cf1eb67f44201818220c6bb245f2",
+     "ba28ca0818cb7231cbca1029554e38760c200caa0fb0acbbf25168bd3978df41"),
+    ("step-edge", 120, 160, 48,
+     "bae600c676ded12491c75e59c8df4b341f6d89fc6c4552778d95b33c498ad409",
+     "90b8649ec53710b1bd26f38826253cbaa2a23f36fe2989796569747353d723fe"),
+    ("textured", 120, 160, 48,
+     "20f96bfff36aab490642aaf4f2d1fb696a5cc9d14ce8b8d7c53624d1ea9d9367",
+     "98f8e436a8787e68293387a90f90a3345e354929d72165820f0285fc147850ab"),
+    ("piecewise-constant", 240, 320, 192,
+     "368a60f7d00384d7d8a6fd75560906d7079897b7784f9feb7c7da9881fe22554",
+     "55820fc4d13e064b29af1077c7b8638675aae6905ecc2f4903a37ca8b49fcfd3"),
+    ("planar-ramp", 240, 320, 192,
+     "77d8b2a077c0e033749f271ec6c8093a854b4b3852363b06afede26a5b0dc924",
+     "20960c79cefee52caf36ee72e53eb9f8b09fbc3ff4d1d78a8911583645331480"),
+    ("step-edge", 240, 320, 192,
+     "3419e3848ca1e655bf4e4abf425817b56c824b857b19e9828a224c633792e7e2",
+     "d97671deeebe0d1951991ed3d5723e84a4c9adea64e765c4858408b4c3b0f4ac"),
+    ("textured", 240, 320, 192,
+     "d92357e187269d9dbc25ffd4bb0fa80ab8edfdef6821309421e5fecf0ca7ac48",
+     "e9acefcdfebcfcced1c413fe38d6d0eec729785a371e88df3690854655cb17da"),
+    ("textured", 240, 320, 768,
+     "f00825bb0b6256fc88bc82616381e8a8ecd7f73ad10e2657166f9d451876652d",
+     "e9d58e4138c55e0f693b9e901bbe9f00251cae3c1f30b084bd85012fd7d5c787"),
+]
+
+
+@pytest.mark.parametrize("kind, height, width, n, labels_sha, locations_sha", _SPS_GOLDEN,
+                         ids=[f"{k}-{h}x{w}-n{n}" for k, h, w, n, _, _ in _SPS_GOLDEN])
+def test_sps_sample_matches_golden_digests(kind, height, width, n, labels_sha, locations_sha):
+    samples, seg = sps_sample(gen_scene(kind, height, width, 1).rgb, n, return_segmentation=True)
+    assert seg.labels.dtype == np.int32 and samples.locations.dtype == np.float64
+    assert hashlib.sha256(np.ascontiguousarray(seg.labels).tobytes()).hexdigest() == labels_sha
+    assert hashlib.sha256(np.ascontiguousarray(samples.locations).tobytes()).hexdigest() == locations_sha
 
 
 # ---------------------------------------------------------------- soft association
