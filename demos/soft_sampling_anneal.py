@@ -45,7 +45,7 @@ def refine():
     # no gradient to follow
     start = np.array([[6.4, 4.0]])
     target = np.array([4000.0])        # wants the far side's depth
-    cfg = SsaConfig(window=5, schedule=TemperatureSchedule(2.0, 0.1, steps=120))
+    cfg = SsaConfig(window=5, schedule=TemperatureSchedule(2.0, 0.1))
     result = refine_locations(d, SampleSet(start), target, cfg, lr=1e-8, steps=120)
     end = result.locations.locations[0]
     print(f"\nrefining one sample toward a {target[0]:.0f} mm target:")

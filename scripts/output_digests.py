@@ -14,8 +14,9 @@ once serial and once with ``--workers 2``; Poisson-disk masks and radii at
 ``ssa-refined`` at 1, 20 and 200 refinement steps; ``reconstruct`` outputs
 for every method; ``sps`` on one 240x320 ``textured`` scene, the size and the
 budget (192 samples) of the benchmark's frames, where connectivity enforcement
-merges the most orphans; the jitter and staleness experiment rows at full
-precision.
+merges the most orphans; ``ssa-refined`` on one 120x160 ``step-edge`` scene
+at the benchmark's refine budget (48 samples, 200 steps); ``grad-check`` over
+200 cases; the jitter and staleness experiment rows at full precision.
 The exit code, stdout and stderr of every command are outputs too, with
 OUTDIR written as ``<out>`` so that listings from different directories
 compare equal.
@@ -92,6 +93,17 @@ def main(out: Path) -> None:
          "--out", str(out / "textured-240x320-sps-mask.pgm"),
          "--samples-out", str(out / "textured-240x320-sps-locs.csv"),
          "--seg-out", str(out / "textured-240x320-sps-seg.pgm")])
+
+    refine_dir = out / "scenes-step-edge"
+    run(out, "gen-scenes-step-edge", ["gen-scenes", "--out", str(refine_dir), "--count", "1",
+                                      "--kinds", "step-edge", "--height", "120", "--width", "160",
+                                      "--seed", "7"])
+    run(out, "sample-step-edge-120x160-ssa-refined",
+        ["sample", "--method", "ssa-refined", "--rate", "0.0025",
+         "--in", str(refine_dir / "000_rgb.ppm"), "--gt", str(refine_dir / "000_depth.pgm"),
+         "--out", str(out / "step-edge-120x160-ssa-refined-mask.pgm"),
+         "--samples-out", str(out / "step-edge-120x160-ssa-refined-locs.csv")])
+    run(out, "grad-check", ["grad-check", "--cases", "200"])
 
     cfg = evaluate.ExperimentConfig(samplers=("random", "grid", "poisson", "sps"),
                                     reconstructors=("colorization", "nearest"),

@@ -67,6 +67,7 @@ from .scenes import SCENE_KINDS, SyntheticScene, gen_scene, gen_translating_sequ
 from .ssa import (
     RefineResult,
     SamplingError,
+    SoftRead,
     SoftSample,
     SsaConfig,
     TemperatureSchedule,
@@ -75,6 +76,7 @@ from .ssa import (
     gradient_check,
     hard_sample,
     refine_locations,
+    ssa_read,
     ssa_sample,
     ssa_weights,
 )
@@ -109,8 +111,8 @@ __all__ = [
     "slic_init", "slic_iterate", "soft_association", "slic_loss",
     "centers", "sps_sample",
     # soft sampling
-    "SamplingError", "TemperatureSchedule", "SsaConfig", "SoftSample",
-    "ssa_weights", "ssa_sample", "bilinear_sample",
+    "SamplingError", "TemperatureSchedule", "SsaConfig", "SoftSample", "SoftRead",
+    "ssa_weights", "ssa_read", "ssa_sample", "bilinear_sample",
     "hard_sample", "RefineResult", "refine_locations",
     "finite_difference_gradient", "gradient_check",
     # reconstruction

@@ -23,7 +23,7 @@ from .imagedata import (DepthMap, SampleSet, load_pgm16, load_ppm, rgb_to_lab, s
 from .reconstruct import (SolverConfig, bilateral_reconstruct,
                           colorization_reconstruct, nn_reconstruct)
 from .samplers import locations_to_mask, target_count
-from .ssa import SsaConfig, TemperatureSchedule, gradient_check, refine_locations, ssa_sample
+from .ssa import SsaConfig, TemperatureSchedule, gradient_check, refine_locations, ssa_read
 
 
 class _Usage(Exception):
@@ -85,22 +85,33 @@ def _merge_config(args: argparse.Namespace, registry: dict) -> argparse.Namespac
     return args
 
 
-def _rate(text: str) -> float:
-    rate = float(text)
-    if not 0 < rate <= 1:
-        raise argparse.ArgumentTypeError(f"sampling rate must be in (0, 1], got {text}")
-    return rate
+def _checked(conv, ok, reason: str):
+    """Converter that applies ``conv`` and rejects values for which ``ok`` is false."""
+    def convert(text: str):
+        value = conv(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{reason}, got {text}")
+        return value
+    return convert
+
+
+_rate = _checked(float, lambda v: 0 < v <= 1, "sampling rate must be in (0, 1]")
+_workers = _checked(int, lambda v: v >= 1, "need at least one worker")
+_refine_steps = _checked(int, lambda v: v >= 0, "refinement steps must be at least 0")
+_cases = _checked(int, lambda v: v >= 1, "need at least one case")
+_step = _checked(float, lambda v: v > 0, "finite-difference step must be positive")
 
 
 def _rates(text: str) -> tuple[float, ...]:
     return tuple(_rate(v) for v in text.split(","))
 
 
-def _workers(text: str) -> int:
-    workers = int(text)
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"need at least one worker, got {text}")
-    return workers
+def _ssa_config(window: int, t_start: float = 1.0, t_end: float = 0.1) -> SsaConfig:
+    """The soft-sampling configuration; a value it rejects is a usage error."""
+    try:
+        return SsaConfig(window=window, schedule=TemperatureSchedule(t_start, t_end))
+    except ValueError as exc:
+        raise _Usage(str(exc))
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -155,8 +166,10 @@ def _require(args, registry):
 
 def _cmd_sample(args) -> int:
     refined = args.method == "ssa-refined"
-    if refined and args.gt is None:
-        raise _Usage("--gt is required for --method ssa-refined")
+    if refined:
+        if args.gt is None:
+            raise _Usage("--gt is required for --method ssa-refined")
+        cfg = _ssa_config(args.window, args.t_start, args.t_end)
     if args.seg_out and args.method not in ("sps", "ssa-refined"):
         raise _Usage("--seg-out applies only to --method sps or ssa-refined")
     rgb = load_ppm(args.infile)
@@ -168,9 +181,7 @@ def _cmd_sample(args) -> int:
         gt = load_pgm16(args.gt)
         if (gt.height, gt.width) != (h, w):
             raise ValueError("ground-truth depth dimensions differ from the image")
-        targets = _superpixel_depth_targets(seg.labels, gt, locations, args.window)
-        cfg = SsaConfig(window=args.window,
-                        schedule=TemperatureSchedule(args.t_start, args.t_end))
+        targets = _superpixel_depth_targets(seg.labels, gt, locations, cfg)
         result = refine_locations(gt, locations, targets, cfg,
                                   lr=args.lr, steps=args.refine_steps)
         locations = result.locations
@@ -188,24 +199,20 @@ def _cmd_sample(args) -> int:
 
 
 def _superpixel_depth_targets(labels: np.ndarray, gt: DepthMap,
-                              locations: SampleSet, window: int) -> np.ndarray:
+                              locations: SampleSet, cfg: SsaConfig) -> np.ndarray:
     """Per-superpixel refinement targets: mean valid depth of each region.
 
-    A region with no valid depth keeps its current soft-sampled value, which
-    makes the refinement a no-op there.
+    A region with no valid depth keeps its current soft-sampled value (at
+    ``cfg.temperature``), which makes the refinement a no-op there.
     """
     n = len(locations)
-    targets = np.empty(n)
     flat = labels.ravel()
     vmask = gt.valid.ravel()
     sums = np.bincount(flat[vmask], weights=gt.depth.ravel()[vmask], minlength=n)
     counts = np.bincount(flat[vmask], minlength=n)
-    cfg = SsaConfig(window=window)
-    for s in range(n):
-        if counts[s] > 0:
-            targets[s] = sums[s] / counts[s]
-        else:
-            targets[s] = ssa_sample(gt, locations.locations[s], cfg).value
+    targets = sums / np.maximum(counts, 1)
+    empty = counts == 0
+    targets[empty] = ssa_read(gt, locations.locations[empty], cfg).values
     return targets
 
 
@@ -291,6 +298,9 @@ def scenes_from_dir(path: str):
 
 
 def _cmd_grad_check(args) -> int:
+    _ssa_config(args.window)
+    if not 0 < args.t_min <= args.t_max:
+        raise _Usage(f"need 0 < --t-min <= --t-max, got {args.t_min} and {args.t_max}")
     worst = gradient_check(cases=args.cases, window=args.window, seed=args.seed,
                            t_range=(args.t_min, args.t_max), h=args.step)
     print(f"max relative gradient error over {args.cases} cases: {worst:.3e}")
@@ -304,9 +314,6 @@ def _cmd_gen_scenes(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     kinds = args.kinds
-    for kind in kinds:
-        if kind not in scenes.SCENE_KINDS:
-            raise _Usage(f"unknown scene kind {kind!r}; choose from {scenes.SCENE_KINDS}")
     for i in range(args.count):
         kind = kinds[i % len(kinds)]
         scene = scenes.gen_scene(kind, args.height, args.width, args.seed + i)
@@ -349,7 +356,7 @@ def _build_parser():
     _opt(p, reg, "--window", int, 5, "soft-sampling window size")
     _opt(p, reg, "--t-start", float, 1.0, "annealing start temperature")
     _opt(p, reg, "--t-end", float, 0.1, "annealing end temperature")
-    _opt(p, reg, "--refine-steps", int, 200, "gradient steps for ssa-refined")
+    _opt(p, reg, "--refine-steps", _refine_steps, 200, "gradient steps for ssa-refined, at least 0")
     _opt(p, reg, "--lr", float, 1e-5, "learning rate for ssa-refined")
 
     p, reg = command("reconstruct", "densify a sparse depth map")
@@ -386,18 +393,19 @@ def _build_parser():
     _opt(p, reg, "--max-iters", int, 20000, "solver iteration cap")
 
     p, reg = command("grad-check", "verify soft-sampling gradients against finite differences")
-    _opt(p, reg, "--cases", int, 1000, "number of randomized cases")
+    _opt(p, reg, "--cases", _cases, 1000, "number of randomized cases, at least 1")
     _opt(p, reg, "--window", int, 5, "soft-sampling window size")
     _opt(p, reg, "--seed", int, 0, "random seed")
-    _opt(p, reg, "--t-min", float, 0.2, "low end of the temperature range")
+    _opt(p, reg, "--t-min", float, 0.2, "low end of the temperature range, above 0")
     _opt(p, reg, "--t-max", float, 2.0, "high end of the temperature range")
-    _opt(p, reg, "--step", float, 1e-4, "finite-difference step in pixels")
+    _opt(p, reg, "--step", _step, 1e-4, "finite-difference step in pixels, above 0")
     _opt(p, reg, "--tolerance", float, 1e-4, "maximum allowed relative error")
 
     p, reg = command("gen-scenes", "write synthetic RGB-D scene pairs")
     _opt(p, reg, "--out", str, _REQUIRED, "output directory", required=True)
     _opt(p, reg, "--count", int, 10, "number of scenes")
-    _opt(p, reg, "--kinds", _names, scenes.SCENE_KINDS, "comma-separated scene kinds, cycled")
+    _opt(p, reg, "--kinds", _choices(scenes.SCENE_KINDS), scenes.SCENE_KINDS,
+         "comma-separated scene kinds, cycled")
     _opt(p, reg, "--height", int, 120, "scene height in pixels")
     _opt(p, reg, "--width", int, 160, "scene width in pixels")
     _opt(p, reg, "--seed", int, 0, "base seed; scene i uses seed + i")

@@ -21,6 +21,8 @@ __all__ = [
     "SsaConfig",
     "SoftSample",
     "ssa_weights",
+    "SoftRead",
+    "ssa_read",
     "ssa_sample",
     "bilinear_sample",
     "hard_sample",
@@ -37,14 +39,13 @@ class SamplingError(ValueError):
 
 @dataclass(frozen=True)
 class TemperatureSchedule:
-    """Linear temperature ramp from ``t_start`` at step 0 to ``t_end`` at ``steps``.
+    """Linear temperature ramp from ``t_start`` at step 0 to ``t_end`` at step ``steps``.
 
     A ramp of no steps stays at ``t_start``.
     """
 
     t_start: float = 1.0
     t_end: float = 0.1
-    steps: int = 100
 
     def __post_init__(self):
         if self.t_end <= 0 or self.t_start < self.t_end:
@@ -52,10 +53,10 @@ class TemperatureSchedule:
                 f"schedule must anneal downward through positive temperatures, "
                 f"got t_start={self.t_start}, t_end={self.t_end}")
 
-    def at(self, step: int) -> float:
-        if self.steps <= 0:
+    def at(self, step: int, steps: int) -> float:
+        if steps <= 0:
             return self.t_start
-        frac = min(max(step, 0), self.steps) / self.steps
+        frac = min(max(step, 0), steps) / steps
         return self.t_start + (self.t_end - self.t_start) * frac
 
 
@@ -84,65 +85,100 @@ class SoftSample:
     pixels: np.ndarray    # (k, 2) integer (x, y) of the contributing pixels
 
 
-def ssa_weights(location: np.ndarray, points: np.ndarray, t: float) -> np.ndarray:
-    """Softmax blend weights for window pixels around a continuous location.
+@dataclass(frozen=True, eq=False)
+class SoftRead:
+    """Soft read-outs at n locations, each over its full k-pixel window."""
 
-    ``points`` is (k, 2) pixel coordinates; weight i is proportional to
-    exp(-rho_i^2 / t^2) with rho_i the Euclidean distance from ``location``
-    to pixel i.  The maximum exponent is subtracted before exponentiation so
-    tiny temperatures stay finite.
+    values: np.ndarray     # (n,)
+    gradients: np.ndarray  # (n, 2) d value / d (x, y)
+    weights: np.ndarray    # (n, k) blend weights, 0 off the valid pixels
+    pixels: np.ndarray     # (n, k, 2) integer (x, y), row-major in each window
+    valid: np.ndarray      # (n, k) pixel inside the image with a valid depth
+
+
+def ssa_weights(location: np.ndarray, points: np.ndarray, t: float) -> np.ndarray:
+    """Softmax blend weights for window pixels around continuous locations.
+
+    ``points`` is (..., k, 2) pixel coordinates around ``location`` (..., 2);
+    weight i is proportional to exp(-rho_i^2 / t^2) with rho_i the Euclidean
+    distance from the location to pixel i.  The maximum exponent is
+    subtracted before exponentiation so tiny temperatures stay finite.
     """
     if t <= 0:
         raise ValueError(f"temperature must be positive, got {t}")
-    loc = np.asarray(location, dtype=np.float64)
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    rho2 = np.sum((loc - pts) ** 2, axis=1)
+    loc = np.asarray(location, dtype=np.float64)[..., None, :]
+    rho2 = np.sum((loc - np.asarray(points, dtype=np.float64)) ** 2, axis=-1)
     a = -rho2 / (t * t)
-    a -= a.max()
+    a -= a.max(axis=-1, keepdims=True)
     w = np.exp(a)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
-def _window_points(d: DepthMap, location: np.ndarray, window: int):
-    """Valid pixels of the window centered on the rounded location."""
-    x, y = float(location[0]), float(location[1])
-    if not (0 <= x <= d.width - 1 and 0 <= y <= d.height - 1):
-        raise ValueError(f"location ({x}, {y}) outside a {d.height}x{d.width} image")
-    cx, cy = int(nearest_pixel(x)), int(nearest_pixel(y))
+def _windows(d: DepthMap, locs: np.ndarray, window: int):
+    """The window of pixels centered on each location's nearest pixel.
+
+    Returns the (n, k, 2) pixels in row-major order, their (n, k) depths and
+    the (n, k) mask of those inside the image with a valid depth.  The first
+    location outside the image raises ValueError; the first whose window has
+    no valid depth, SamplingError.
+    """
+    x, y = locs[:, 0], locs[:, 1]
+    outside = ~((0 <= x) & (x <= d.width - 1) & (0 <= y) & (y <= d.height - 1))
+    center = nearest_pixel(np.where(outside[:, None], 0.0, locs))
     half = window // 2
-    x0, x1 = max(0, cx - half), min(d.width - 1, cx + half)
-    y0, y1 = max(0, cy - half), min(d.height - 1, cy + half)
-    xs, ys = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
-    xs, ys = xs.ravel(), ys.ravel()
-    keep = d.valid[ys, xs]
-    return np.column_stack([xs[keep], ys[keep]]), d.depth[ys[keep], xs[keep]]
+    dy, dx = np.mgrid[-half:half + 1, -half:half + 1]
+    pixels = center[:, None, :] + np.column_stack([dx.ravel(), dy.ravel()])
+    px, py = pixels[..., 0], pixels[..., 1]
+    ok = (0 <= px) & (px < d.width) & (0 <= py) & (py < d.height)
+    px, py = np.where(ok, px, 0), np.where(ok, py, 0)
+    ok &= d.valid[py, px]
+    bad = outside | ~ok.any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if outside[i]:
+            raise ValueError(f"location ({x[i]}, {y[i]}) outside a {d.height}x{d.width} image")
+        raise SamplingError(f"no valid depth in the {window}x{window} window at {locs[i]}")
+    return pixels, np.where(ok, d.depth[py, px], 0.0), ok
 
 
-def ssa_sample(d: DepthMap, location: np.ndarray, cfg: SsaConfig = SsaConfig()) -> SoftSample:
-    """Softly sample depth at a continuous location.
+def ssa_read(d: DepthMap, locations: np.ndarray, cfg: SsaConfig = SsaConfig()) -> SoftRead:
+    """Softly sample depth at n continuous (x, y) locations, given as (n, 2).
 
-    The window (cfg.window, clipped at image borders) is centered on the
+    Each window (cfg.window, clipped at image borders) is centered on the
     nearest pixel; weights are renormalized over the valid pixels inside it.
-    The returned gradient is the exact derivative of the blended value with
-    respect to the location:
+    The gradient is the exact derivative of the blended value with respect to
+    the location, from differentiating the softmax of -rho^2 / t^2:
 
         dk_i/dl = k_i * (-2 (l - w_i) / t^2 + 2 sum_j k_j (l - w_j) / t^2)
 
-    which follows from differentiating the softmax of -rho^2 / t^2.
+    Locations with equally many valid window pixels are read together over
+    just those pixels, so every sum is reduced as for a single location.
     """
-    pts, depths = _window_points(d, np.asarray(location, dtype=np.float64), cfg.window)
-    if len(pts) == 0:
-        raise SamplingError(f"no valid depth in the {cfg.window}x{cfg.window} window at {location}")
+    locs = np.asarray(locations, dtype=np.float64).reshape(-1, 2)
+    pixels, depths, ok = _windows(d, locs, cfg.window)
     t = cfg.temperature
-    loc = np.asarray(location, dtype=np.float64)
-    w = ssa_weights(loc, pts, t)
-    value = float(w @ depths)
+    values, gradients, weights = np.empty(len(ok)), np.empty((len(ok), 2)), np.zeros(ok.shape)
+    counts = ok.sum(axis=1)
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        keep = ok[rows]
+        pts, dep = pixels[rows][keep].reshape(-1, k, 2), depths[rows][keep].reshape(-1, k)
+        w = ssa_weights(locs[rows], pts, t)
+        row = w[:, None, :]                                    # (m, 1, k)
+        values[rows] = (row @ dep[..., None])[:, 0, 0]
+        diff = (locs[rows, None, :] - pts) * (2.0 / (t * t))   # rows: 2 (l - w_i) / t^2
+        mean_diff = row @ diff                                 # sum_j k_j * 2 (l - w_j) / t^2
+        gradients[rows] = (dep[:, None, :] @ (w[..., None] * (mean_diff - diff)))[:, 0]
+        i, j = np.nonzero(keep)
+        weights[rows[i], j] = w.ravel()
+    return SoftRead(values, gradients, weights, pixels, ok)
 
-    diff = (loc - pts) * (2.0 / (t * t))       # (k, 2) rows: 2 (l - w_i) / t^2
-    mean_diff = w @ diff                        # sum_j k_j * 2 (l - w_j) / t^2
-    dw = w[:, None] * (mean_diff - diff)        # (k, 2)
-    grad = depths @ dw
-    return SoftSample(value, grad, w, pts)
+
+def ssa_sample(d: DepthMap, location: np.ndarray, cfg: SsaConfig = SsaConfig()) -> SoftSample:
+    """:func:`ssa_read` at one location, keeping the valid window pixels only."""
+    r = ssa_read(d, location, cfg)
+    ok = r.valid[0]
+    return SoftSample(float(r.values[0]), r.gradients[0], r.weights[0, ok], r.pixels[0, ok])
 
 
 def bilinear_sample(d: DepthMap, location: np.ndarray) -> SoftSample:
@@ -194,30 +230,20 @@ def hard_sample(d: DepthMap, location: np.ndarray, window: int = 5):
     the window is used instead; with none valid a SamplingError is raised.
     """
     loc = np.asarray(location, dtype=np.float64)
-    pts, depths = _window_points(d, loc, window)
-    if len(pts) == 0:
-        raise SamplingError(f"no valid depth in the {window}x{window} window at {location}")
-    cx, cy = int(nearest_pixel(loc[0])), int(nearest_pixel(loc[1]))
-    if d.valid[cy, cx]:
-        return (cx, cy), float(d.depth[cy, cx])
-    rho2 = np.sum((pts - loc) ** 2, axis=1)
-    # lexicographic (distance, y, x) keeps the fallback deterministic
-    order = np.lexsort((pts[:, 0], pts[:, 1], rho2))
-    best = order[0]
-    return (int(pts[best, 0]), int(pts[best, 1])), float(depths[best])
+    pixels, depths, ok = _windows(d, loc[None], window)
+    best = window * window // 2  # the window center is the nearest pixel
+    if not ok[0, best]:
+        # argmin keeps the first of equal distances, the smallest (y, x) in row-major order
+        best = int(np.argmin(np.where(ok[0], np.sum((pixels[0] - loc) ** 2, axis=1), np.inf)))
+    return (int(pixels[0, best, 0]), int(pixels[0, best, 1])), float(depths[0, best])
 
 
 def finite_difference_gradient(d: DepthMap, location: np.ndarray,
                                cfg: SsaConfig, h: float = 1e-4) -> np.ndarray:
     """Central-difference estimate of the soft-sample location gradient."""
-    loc = np.asarray(location, dtype=np.float64)
-    g = np.zeros(2)
-    for axis in range(2):
-        e = np.zeros(2)
-        e[axis] = h
-        g[axis] = (ssa_sample(d, loc + e, cfg).value
-                   - ssa_sample(d, loc - e, cfg).value) / (2.0 * h)
-    return g
+    stencil = h * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    v = ssa_read(d, np.asarray(location, dtype=np.float64) + stencil, cfg).values
+    return (v[0::2] - v[1::2]) / (2.0 * h)
 
 
 def gradient_check(cases: int = 1000, window: int = 5, seed: int = 0,
@@ -275,8 +301,7 @@ def refine_locations(d: DepthMap, samples: SampleSet, targets: np.ndarray,
 
     Minimizes sum_s (soft_depth(l_s) - target_s)^2 by gradient descent on the
     locations, annealing the temperature linearly from the schedule's start
-    at the first step to its end at the last (the schedule's own ``steps`` is
-    replaced by the given number of steps).  This is a demonstration of
+    at the first step to its end at the last.  This is a demonstration of
     the gradient flow, not a production optimizer: if the loss rises for ten
     consecutive steps the run stops and the best locations seen are returned
     with ``diverged`` set.
@@ -287,30 +312,20 @@ def refine_locations(d: DepthMap, samples: SampleSet, targets: np.ndarray,
     locs = samples.locations.copy()
     losses = []
     best_loss, best_locs = np.inf, locs.copy()
-    streak = 0
-    diverged = False
-    schedule = replace(cfg.schedule, steps=steps - 1)
+    streak = 0  # consecutive steps on which the loss rose
     for step in range(steps):
-        step_cfg = replace(cfg, temperature=schedule.at(step))
-        total = 0.0
-        grads = np.zeros_like(locs)
-        for i in range(len(locs)):
-            s = ssa_sample(d, locs[i], step_cfg)
-            err = s.value - targets[i]
-            total += err * err
-            grads[i] = 2.0 * err * s.gradient
+        read = ssa_read(d, locs, replace(cfg, temperature=cfg.schedule.at(step, steps - 1)))
+        err = read.values - targets
+        total = np.cumsum(np.append(0.0, err * err))[-1]  # a running total in sample order
         losses.append(total)
         if total < best_loss:
             best_loss, best_locs = total, locs.copy()
-        if losses and len(losses) >= 2 and total > losses[-2]:
-            streak += 1
-            if streak >= 10:
-                diverged = True
-                break
-        else:
-            streak = 0
-        locs -= lr * grads
+        streak = streak + 1 if len(losses) >= 2 and total > losses[-2] else 0
+        if streak >= 10:
+            break
+        locs -= lr * (2.0 * err[:, None] * read.gradients)
         locs[:, 0] = np.clip(locs[:, 0], 0, d.width - 1)
         locs[:, 1] = np.clip(locs[:, 1], 0, d.height - 1)
+    diverged = streak >= 10
     final = best_locs if diverged else locs
     return RefineResult(SampleSet(final), np.array(losses), diverged)

@@ -188,7 +188,10 @@ def test_gen_scenes_writes_pairs_and_validates_kinds(tmp_path, capsys):
     assert len(list(out.glob("*_depth.pgm"))) == 3
     rgb = load_pgm16(out / "000_depth.pgm")
     assert rgb.depth.shape == (12, 14)
-    assert cli(["gen-scenes", "--out", str(out), "--kinds", "fractal"]) == 1
+    never = tmp_path / "never"
+    assert cli(["gen-scenes", "--out", str(never), "--kinds", "planar-ramp,fractal"]) == 1
+    assert "unknown name 'fractal'" in capsys.readouterr().err
+    assert not never.exists()  # rejected before the output directory is made
 
 
 def test_pipeline_csv_header_and_reproducibility(tmp_path, capsys):
@@ -283,6 +286,15 @@ def test_pipeline_exits_2_when_a_shared_mask_fails(tmp_path, capsys, monkeypatch
     (["pipeline", "--workers", "0"], "need at least one worker, got 0"),
     (["pipeline", "--method", "sps,bogus"], "'bogus'; choose from random, grid, poisson, sps"),
     (["pipeline", "--recon", "bogus"], "'bogus'; choose from colorization, nearest, bilateral"),
+    (["sample", "--method", "ssa-refined", "--rate", "0.05", "--gt", "missing.pgm",
+      "--window", "4"], "window must be an odd size of at least 3, got 4"),
+    (["sample", "--method", "ssa-refined", "--rate", "0.05", "--gt", "missing.pgm",
+      "--t-start", "0.1", "--t-end", "1.0"],
+     "schedule must anneal downward through positive temperatures, got t_start=0.1, t_end=1.0"),
+    (["sample", "--method", "ssa-refined", "--rate", "0.05", "--gt", "missing.pgm",
+      "--t-end", "0"], "schedule must anneal downward through positive temperatures"),
+    (["sample", "--method", "ssa-refined", "--rate", "0.05", "--gt", "missing.pgm",
+      "--refine-steps", "-3"], "refinement steps must be at least 0, got -3"),
 ])
 def test_bad_configuration_is_a_usage_error_before_any_file_is_read(argv, reason, tmp_path,
                                                                      capsys):
@@ -305,6 +317,21 @@ def test_bad_configuration_from_a_config_file_is_a_usage_error(line, reason, tmp
     assert reason in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, lines", [
+    ("sample", "method = ssa-refined\nrate = 0.05\ngt = missing.pgm\nin = missing.ppm\n"
+               "out = {out}\n"),
+    ("grad-check", ""),
+])
+def test_bad_window_from_a_config_file_is_a_usage_error(command, lines, tmp_path, capsys):
+    out = tmp_path / "mask.pgm"
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text(lines.format(out=out) + "window = 4\n")
+    assert cli([command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: window must be an odd size of at least 3, got 4\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_pipeline_rejects_empty_scene_dir(tmp_path, capsys):
     empty = tmp_path / "nothing"
     empty.mkdir()
@@ -316,6 +343,22 @@ def test_grad_check_exit_codes(capsys):
     out = capsys.readouterr().out
     assert "max relative gradient error" in out
     assert cli(["grad-check", "--cases", "20", "--tolerance", "1e-12"]) == 2
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--window", "4"], "window must be an odd size of at least 3, got 4"),
+    (["--t-min", "-1"], "need 0 < --t-min <= --t-max, got -1.0 and 2.0"),
+    (["--t-min", "0"], "need 0 < --t-min <= --t-max, got 0.0 and 2.0"),
+    (["--t-min", "3", "--t-max", "1"], "need 0 < --t-min <= --t-max, got 3.0 and 1.0"),
+    (["--cases", "-5"], "need at least one case, got -5"),
+    (["--cases", "0"], "need at least one case, got 0"),
+    (["--step", "0"], "finite-difference step must be positive, got 0"),
+])
+def test_grad_check_bad_options_are_usage_errors(argv, reason, capsys):
+    assert cli(["grad-check", "--cases", "5"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:") and reason in captured.err
+    assert captured.out == ""  # no case was run
 
 
 def test_config_file_supplies_defaults_and_flags_override(scene_files, tmp_path):

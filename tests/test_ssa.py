@@ -1,10 +1,12 @@
 """Soft depth sampling: weights, values, gradients, and location refinement."""
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from depthsample.imagedata import DepthMap, SampleSet
+from depthsample.imagedata import DepthMap, SampleSet, nearest_pixel
+from depthsample.scenes import gen_scene
 from depthsample.ssa import (
     SamplingError,
     SsaConfig,
@@ -14,9 +16,11 @@ from depthsample.ssa import (
     gradient_check,
     hard_sample,
     refine_locations,
+    ssa_read,
     ssa_sample,
     ssa_weights,
 )
+from depthsample.superpixel import sps_sample
 
 
 def _full(depth):
@@ -234,21 +238,21 @@ def test_ssa_sees_past_the_bilinear_cell():
 # ---------------------------------------------------------------- temperature
 
 def test_temperature_schedule_endpoints_and_midpoint():
-    sched = TemperatureSchedule(1.0, 0.1, steps=100)
-    assert sched.at(0) == 1.0
-    assert sched.at(100) == pytest.approx(0.1)
-    assert sched.at(50) == pytest.approx(0.55)
+    sched = TemperatureSchedule(1.0, 0.1)
+    assert sched.at(0, 100) == 1.0
+    assert sched.at(100, 100) == pytest.approx(0.1)
+    assert sched.at(50, 100) == pytest.approx(0.55)
 
 
 def test_zero_length_schedule_stays_at_start():
-    assert TemperatureSchedule(1.0, 0.1, steps=0).at(0) == 1.0
+    assert TemperatureSchedule(1.0, 0.1).at(0, 0) == 1.0
 
 
 def test_temperature_schedule_validation():
     with pytest.raises(ValueError):
-        TemperatureSchedule(0.1, 1.0, steps=10)  # must anneal downward
+        TemperatureSchedule(0.1, 1.0)  # must anneal downward
     with pytest.raises(ValueError):
-        TemperatureSchedule(1.0, 0.0, steps=10)
+        TemperatureSchedule(1.0, 0.0)
 
 
 # ---------------------------------------------------------------- refinement
@@ -257,7 +261,7 @@ def test_refine_stays_put_when_targets_already_met():
     d = _random_depth(9, 9, 29)
     locs = np.array([[3.2, 4.1], [6.0, 2.5]])
     cfg = SsaConfig(window=5, temperature=1.0,
-                    schedule=TemperatureSchedule(1.0, 1.0, steps=50))
+                    schedule=TemperatureSchedule(1.0, 1.0))
     targets = np.array([ssa_sample(d, l, cfg).value for l in locs])
     res = refine_locations(d, SampleSet(locs), targets, cfg, lr=1e-5, steps=50)
     assert np.allclose(res.locations.locations, locs, atol=1e-9)
@@ -267,7 +271,7 @@ def test_refine_stays_put_when_targets_already_met():
 def test_single_step_refinement_runs_at_start_temperature():
     d = _random_depth(9, 9, 31)
     loc = np.array([[4.3, 3.8]])
-    cfg = SsaConfig(window=5, schedule=TemperatureSchedule(2.0, 0.5, steps=100))
+    cfg = SsaConfig(window=5, schedule=TemperatureSchedule(2.0, 0.5))
     res = refine_locations(d, SampleSet(loc), np.array([0.0]), cfg, steps=1)
     hot, cold = (ssa_sample(d, loc[0], replace(cfg, temperature=t)).value for t in (2.0, 0.5))
     assert hot != cold
@@ -279,7 +283,7 @@ def test_refine_walks_up_a_depth_ramp():
     x = np.arange(11, dtype=float)
     d = _full(np.tile(100 * x, (7, 1)) + 1.0)
     cfg = SsaConfig(window=5, temperature=1.0,
-                    schedule=TemperatureSchedule(1.0, 0.1, steps=200))
+                    schedule=TemperatureSchedule(1.0, 0.1))
     res = refine_locations(d, SampleSet(np.array([[2.0, 3.0]])), np.array([501.0]),
                            cfg, lr=1e-5, steps=200)
     assert abs(res.locations.locations[0, 0] - 5.0) < 0.1
@@ -303,3 +307,217 @@ def test_refine_reports_loss_trajectory():
                            lr=1e-5, steps=60)
     assert len(res.losses) == 60
     assert res.losses[-1] < res.losses[0]
+
+
+# ---------------------------------------------------------------- batched read-out
+#
+# The per-location read-out and refinement loop that `ssa_read` replaced,
+# kept as the reference.  `ssa_read` reads all locations whose windows hold
+# equally many valid pixels together, over just those pixels, so its sums
+# reduce in the same order as these and every result is compared for exact
+# equality, clipped windows and windows with invalid pixels included.
+
+def _reference_window_points(d, location, window):
+    x, y = float(location[0]), float(location[1])
+    if not (0 <= x <= d.width - 1 and 0 <= y <= d.height - 1):
+        raise ValueError(f"location ({x}, {y}) outside a {d.height}x{d.width} image")
+    cx, cy = int(nearest_pixel(x)), int(nearest_pixel(y))
+    half = window // 2
+    x0, x1 = max(0, cx - half), min(d.width - 1, cx + half)
+    y0, y1 = max(0, cy - half), min(d.height - 1, cy + half)
+    xs, ys = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
+    xs, ys = xs.ravel(), ys.ravel()
+    keep = d.valid[ys, xs]
+    return np.column_stack([xs[keep], ys[keep]]), d.depth[ys[keep], xs[keep]]
+
+
+def _reference_ssa_sample(d, location, cfg):
+    pts, depths = _reference_window_points(d, np.asarray(location, dtype=np.float64), cfg.window)
+    if len(pts) == 0:
+        raise SamplingError(f"no valid depth in the {cfg.window}x{cfg.window} window at {location}")
+    t = cfg.temperature
+    loc = np.asarray(location, dtype=np.float64)
+    rho2 = np.sum((loc - pts.astype(np.float64)) ** 2, axis=1)
+    a = -rho2 / (t * t)
+    a -= a.max()
+    w = np.exp(a)
+    w = w / w.sum()
+    value = float(w @ depths)
+    diff = (loc - pts) * (2.0 / (t * t))
+    mean_diff = w @ diff
+    dw = w[:, None] * (mean_diff - diff)
+    return value, depths @ dw, w, pts
+
+
+def _reference_refine(d, locations, targets, cfg, lr, steps):
+    locs = locations.copy()
+    losses = []
+    best_loss, best_locs = np.inf, locs.copy()
+    streak = 0
+    diverged = False
+    for step in range(steps):
+        step_cfg = replace(cfg, temperature=cfg.schedule.at(step, steps - 1))
+        total = 0.0
+        grads = np.zeros_like(locs)
+        for i in range(len(locs)):
+            value, gradient, _, _ = _reference_ssa_sample(d, locs[i], step_cfg)
+            err = value - targets[i]
+            total += err * err
+            grads[i] = 2.0 * err * gradient
+        losses.append(total)
+        if total < best_loss:
+            best_loss, best_locs = total, locs.copy()
+        if len(losses) >= 2 and total > losses[-2]:
+            streak += 1
+            if streak >= 10:
+                diverged = True
+                break
+        else:
+            streak = 0
+        locs -= lr * grads
+        locs[:, 0] = np.clip(locs[:, 0], 0, d.width - 1)
+        locs[:, 1] = np.clip(locs[:, 1], 0, d.height - 1)
+    return (best_locs if diverged else locs), np.array(losses), diverged
+
+
+def _holey_depth(h, w, seed, invalid=0.1):
+    rng = np.random.default_rng(seed)
+    valid = rng.random((h, w)) >= invalid
+    return DepthMap(np.where(valid, rng.uniform(200.0, 20000.0, size=(h, w)), 0.0), valid)
+
+
+def _border_locations(h, w):
+    """Locations on every border and corner, on and between pixel centers."""
+    xs = np.array([0.0, 0.3, 0.5, 1.0, 1.7, w / 2 + 0.25, w - 2.4, w - 1.5, w - 1.2, w - 1.0])
+    ys = np.array([0.0, 0.4, 0.5, 1.0, 2.2, h / 2 - 0.3, h - 2.5, h - 1.6, h - 1.1, h - 1.0])
+    gx, gy = np.meshgrid(xs, ys)
+    grid = np.column_stack([gx.ravel(), gy.ravel()])
+    on_border = (np.isin(grid[:, 0], (0.0, w - 1.0)) | np.isin(grid[:, 1], (0.0, h - 1.0)))
+    assert on_border.sum() >= 4 * len(xs) - 4  # every edge and corner is present
+    return grid
+
+
+def _assert_read_matches_reference(d, locs, cfg):
+    read = ssa_read(d, locs, cfg)
+    assert read.values.shape == (len(locs),) and read.gradients.shape == (len(locs), 2)
+    k = cfg.window * cfg.window
+    assert read.weights.shape == read.valid.shape == (len(locs), k)
+    assert read.pixels.shape == (len(locs), k, 2)
+    for i, loc in enumerate(locs):
+        value, gradient, weights, pixels = _reference_ssa_sample(d, loc, cfg)
+        ok = read.valid[i]
+        assert read.values[i] == value
+        assert np.array_equal(read.gradients[i], gradient)
+        assert np.array_equal(read.weights[i, ok], weights)
+        assert np.all(read.weights[i, ~ok] == 0.0)
+        assert np.array_equal(read.pixels[i, ok], pixels)
+        single = ssa_sample(d, loc, cfg)
+        assert single.value == value
+        assert np.array_equal(single.gradient, gradient)
+        assert np.array_equal(single.weights, weights)
+        assert np.array_equal(single.pixels, pixels)
+
+
+@pytest.mark.parametrize("window", [3, 5, 7])
+@pytest.mark.parametrize("t", [0.05, 0.2, 1.0, 2.0])
+def test_batched_read_equals_reference_on_random_locations(window, t):
+    d = _holey_depth(120, 160, 41)
+    rng = np.random.default_rng(window * 100 + int(t * 100))
+    locs = rng.uniform((0.0, 0.0), (159.0, 119.0), size=(48, 2))
+    _assert_read_matches_reference(d, locs, SsaConfig(window=window, temperature=t))
+
+
+@pytest.mark.parametrize("window", [3, 5, 7])
+@pytest.mark.parametrize("t", [0.05, 1.0, 2.0])
+@pytest.mark.parametrize("invalid", [0.0, 0.1])
+def test_batched_read_equals_reference_on_borders_and_corners(window, t, invalid):
+    d = _holey_depth(120, 160, 43, invalid)
+    _assert_read_matches_reference(d, _border_locations(120, 160),
+                                   SsaConfig(window=window, temperature=t))
+
+
+def test_batched_read_of_one_location_and_of_none():
+    d = _holey_depth(9, 11, 47)
+    cfg = SsaConfig(window=5, temperature=0.7)
+    _assert_read_matches_reference(d, np.array([[4.3, 3.8]]), cfg)
+    empty = ssa_read(d, np.zeros((0, 2)), cfg)
+    assert empty.values.shape == (0,) and empty.gradients.shape == (0, 2)
+
+
+def test_batched_read_raises_at_the_first_bad_location():
+    depth = np.full((9, 9), 1000.0)
+    valid = np.ones((9, 9), dtype=bool)
+    valid[:4, :4] = False
+    depth[:4, :4] = 0.0
+    d = DepthMap(depth, valid)
+    cfg = SsaConfig(window=3)
+    hole, outside, fine = [1.0, 1.0], [9.5, 2.0], [6.0, 6.0]
+    for locs in ([fine, hole, outside], [fine, outside, hole], [hole], [outside]):
+        first = next(loc for loc in locs if loc is not fine)
+        with pytest.raises(ValueError) as expected:
+            _reference_ssa_sample(d, np.array(first), cfg)
+        with pytest.raises(ValueError) as got:
+            ssa_read(d, np.array(locs), cfg)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+    with pytest.raises(SamplingError, match=r"no valid depth in the 3x3 window at \[1\. 1\.\]"):
+        ssa_sample(d, np.array(hole), cfg)
+    with pytest.raises(ValueError, match=r"location \(9\.5, 2\.0\) outside a 9x9 image"):
+        hard_sample(d, np.array(outside))
+
+
+def test_finite_difference_gradient_reads_the_four_stencil_points():
+    d = _holey_depth(12, 12, 53)
+    cfg = SsaConfig(window=5, temperature=0.6)
+    loc, h = np.array([5.2, 6.7]), 1e-4
+    expected = [(_reference_ssa_sample(d, loc + e, cfg)[0]
+                 - _reference_ssa_sample(d, loc - e, cfg)[0]) / (2.0 * h)
+                for e in (np.array([h, 0.0]), np.array([0.0, h]))]
+    assert finite_difference_gradient(d, loc, cfg, h).tolist() == expected
+
+
+@pytest.mark.parametrize("invalid", [0.0, 0.1])
+def test_refine_equals_the_per_location_loop(invalid):
+    d = _holey_depth(40, 50, 59, invalid)
+    rng = np.random.default_rng(61)
+    locs = rng.uniform((0.0, 0.0), (49.0, 39.0), size=(24, 2))
+    locs[:4] = [[0.0, 0.0], [49.0, 0.0], [0.0, 39.0], [49.0, 39.0]]
+    targets = rng.uniform(500.0, 20000.0, size=24)
+    cfg = SsaConfig(window=5, schedule=TemperatureSchedule(1.5, 0.1))
+    for lr, steps in ((1e-5, 30), (1e-3, 40)):  # the second diverges
+        res = refine_locations(d, SampleSet(locs), targets, cfg, lr=lr, steps=steps)
+        ref_locs, ref_losses, ref_diverged = _reference_refine(d, locs, targets, cfg, lr, steps)
+        assert np.array_equal(res.locations.locations, ref_locs)
+        assert np.array_equal(res.losses, ref_losses)
+        assert res.diverged == ref_diverged
+
+
+# SHA-256 of the refined locations, the losses and `diverged`, recorded with
+# the per-location loop before the batched read-out replaced it.
+REFINE_DIGESTS = {
+    ("step-edge", 1): "af3262f62fea7f791f5df25573d29c8b54418da14649e5cb35afa0e1a5edd675",
+    ("step-edge", 20): "6d36686f96dd5212875457d94a7916029d8f9e10bf08371426de8c300f895793",
+    ("step-edge", 200): "398c6cffd5c2e270197dd04e00b0580db72b7acacdbe8cdc7f11be37565bce51",
+    ("piecewise-constant", 1): "da044718e0757eeefa2647801808d971fca20695d822c85f4f88a5d151e0a634",
+    ("piecewise-constant", 20): "6fef6acd688fccae279e5327a88c380b85f37aadd0d7568347418af62bbaf98c",
+    ("piecewise-constant", 200): "bad214dd80f21a50095ae4b50e266a66917021e633a25e97c7c05292e0e41836",
+    ("textured", 1): "d666a349361f05f566c09bce7e2b1c2f1c165b89e4c924c7b178f1f93038b76e",
+    ("textured", 20): "939daee3691a13f3e0f78e89f44f8a5b0d30add75a2a65e6bae0f0f438b6ff3c",
+    ("textured", 200): "9a6b16911e30248f3b8f16f069b17e12bacd843c9e070aaee38db1aaf3886dbe",
+}
+
+
+@pytest.mark.parametrize("kind, steps", sorted(REFINE_DIGESTS))
+def test_refine_matches_golden_digests(kind, steps):
+    """sps locations on a 120x160 scene, n=48, refined toward their superpixels' mean depth."""
+    scene = gen_scene(kind, 120, 160, 0)
+    samples, seg = sps_sample(scene.rgb, 48, return_segmentation=True)
+    labels, gt = seg.labels.ravel(), scene.depth
+    valid = gt.valid.ravel()
+    targets = (np.bincount(labels[valid], weights=gt.depth.ravel()[valid], minlength=48)
+               / np.bincount(labels[valid], minlength=48))
+    res = refine_locations(gt, samples, targets, SsaConfig(), steps=steps)
+    digest = hashlib.sha256()
+    for a in (res.locations.locations, res.losses, np.array([res.diverged])):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == REFINE_DIGESTS[kind, steps]
