@@ -11,7 +11,9 @@ generated scenes with every sampler, reconstructor, two rates and two seeds,
 once serial and once with ``--workers 2``; Poisson-disk masks and radii at
 120x160 with 48 samples for seeds 0-9;
 ``sample`` masks, ``--samples-out`` and ``--seg-out`` for every method, with
-``ssa-refined`` at 1, 20 and 200 refinement steps; ``reconstruct`` outputs
+``ssa-refined`` at 1, 20 and 200 refinement steps and ``sps`` also at
+``--m 0`` and ``--m 10``; ``sps`` on a 6x90 strip with 3 samples, where the
+first SLIC sweep leaves pixels outside every seed window; ``reconstruct`` outputs
 for every method; ``sps`` on one 240x320 ``textured`` scene, the size and the
 budget (192 samples) of the benchmark's frames, where connectivity enforcement
 merges the most orphans; ``ssa-refined`` on one 120x160 ``step-edge`` scene
@@ -65,6 +67,7 @@ def main(out: Path) -> None:
     for stem in ("000", "001", "003"):  # piecewise-constant, planar-ramp, textured
         rgb, gt = str(scene_dir / f"{stem}_rgb.ppm"), str(scene_dir / f"{stem}_depth.pgm")
         runs = [(m, m, []) for m in ("random", "grid", "poisson", "sps")]
+        runs += [(f"sps-m{m}", "sps", ["--m", m]) for m in ("0", "10")]
         runs += [(f"ssa-refined-{steps}", "ssa-refined", ["--gt", gt, "--refine-steps", str(steps)])
                  for steps in (1, 20, 200)]
         for name, method, extra in runs:
@@ -93,6 +96,16 @@ def main(out: Path) -> None:
          "--out", str(out / "textured-240x320-sps-mask.pgm"),
          "--samples-out", str(out / "textured-240x320-sps-locs.csv"),
          "--seg-out", str(out / "textured-240x320-sps-seg.pgm")])
+
+    strip_dir = out / "scenes-6x90"
+    run(out, "gen-scenes-6x90", ["gen-scenes", "--out", str(strip_dir), "--count", "1",
+                                 "--kinds", "textured", "--height", "6", "--width", "90",
+                                 "--seed", "7"])
+    run(out, "sample-textured-6x90-sps",
+        ["sample", "--method", "sps", "--rate", "0.005", "--in", str(strip_dir / "000_rgb.ppm"),
+         "--out", str(out / "textured-6x90-sps-mask.pgm"),
+         "--samples-out", str(out / "textured-6x90-sps-locs.csv"),
+         "--seg-out", str(out / "textured-6x90-sps-seg.pgm")])
 
     refine_dir = out / "scenes-step-edge"
     run(out, "gen-scenes-step-edge", ["gen-scenes", "--out", str(refine_dir), "--count", "1",

@@ -100,6 +100,11 @@ _workers = _checked(int, lambda v: v >= 1, "need at least one worker")
 _refine_steps = _checked(int, lambda v: v >= 0, "refinement steps must be at least 0")
 _cases = _checked(int, lambda v: v >= 1, "need at least one case")
 _step = _checked(float, lambda v: v > 0, "finite-difference step must be positive")
+_compactness = _checked(float, lambda v: np.isfinite(v) and v >= 0,
+                        "compactness m must be finite and at least 0")
+_sweeps = _checked(int, lambda v: v >= 0, "superpixel sweeps must be at least 0")
+_lr = _checked(float, lambda v: np.isfinite(v) and v > 0,
+               "learning rate must be finite and positive")
 
 
 def _rates(text: str) -> tuple[float, ...]:
@@ -133,9 +138,16 @@ def _choice(allowed: tuple[str, ...]):
 
 
 def _choices(allowed: tuple[str, ...]):
-    """Converter for a comma-separated list of names from ``allowed``."""
+    """Converter for a non-empty comma-separated list of names from ``allowed``."""
     choice = _choice(allowed)
-    return lambda text: tuple(choice(v) for v in _names(text))
+
+    def convert(text: str) -> tuple[str, ...]:
+        names = _names(text)
+        if not names:
+            raise argparse.ArgumentTypeError(
+                f"need at least one name; choose from {', '.join(allowed)}")
+        return tuple(choice(v) for v in names)
+    return convert
 
 
 def _opt(parser, registry, name, conv, default, help_text, required=False):
@@ -351,13 +363,13 @@ def _build_parser():
     _opt(p, reg, "--samples-out", str, None, "also write continuous locations as CSV")
     _opt(p, reg, "--seg-out", str, None, "dump superpixel labels as 16-bit PGM")
     _opt(p, reg, "--seed", int, 0, "random seed")
-    _opt(p, reg, "--m", float, 1.0, "superpixel compactness weight")
-    _opt(p, reg, "--iters", int, 10, "superpixel refinement sweeps")
+    _opt(p, reg, "--m", _compactness, 1.0, "superpixel compactness weight, finite and at least 0")
+    _opt(p, reg, "--iters", _sweeps, 10, "superpixel refinement sweeps, at least 0")
     _opt(p, reg, "--window", int, 5, "soft-sampling window size")
     _opt(p, reg, "--t-start", float, 1.0, "annealing start temperature")
     _opt(p, reg, "--t-end", float, 0.1, "annealing end temperature")
     _opt(p, reg, "--refine-steps", _refine_steps, 200, "gradient steps for ssa-refined, at least 0")
-    _opt(p, reg, "--lr", float, 1e-5, "learning rate for ssa-refined")
+    _opt(p, reg, "--lr", _lr, 1e-5, "learning rate for ssa-refined, finite and above 0")
 
     p, reg = command("reconstruct", "densify a sparse depth map")
     _opt(p, reg, "--method", _choice(RECONSTRUCTORS), _REQUIRED,
@@ -386,8 +398,8 @@ def _build_parser():
     _opt(p, reg, "--json-out", str, None, "also write a JSON mirror of the report")
     _opt(p, reg, "--timing", _parse_bool, False, "include wall-clock times (breaks byte reproducibility)")
     _opt(p, reg, "--workers", _workers, 1, "parallel evaluation threads, at least 1")
-    _opt(p, reg, "--m", float, 1.0, "superpixel compactness weight")
-    _opt(p, reg, "--iters", int, 10, "superpixel refinement sweeps")
+    _opt(p, reg, "--m", _compactness, 1.0, "superpixel compactness weight, finite and at least 0")
+    _opt(p, reg, "--iters", _sweeps, 10, "superpixel refinement sweeps, at least 0")
     _opt(p, reg, "--sigma-c", float, 10.0, "color affinity bandwidth")
     _opt(p, reg, "--tol", float, 1e-6, "solver relative residual tolerance")
     _opt(p, reg, "--max-iters", int, 20000, "solver iteration cap")

@@ -41,6 +41,13 @@ DEFAULT_M = 1.0
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
+# the 3x3 neighborhood in row-major order, as (row, column) offsets
+_NEIGHBOR_OFFSETS = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
+
+# window cells per block of seeds in an assignment sweep: 512 KB per float64
+# array, so a sweep's temporaries stay in cache at any image size
+_WINDOW_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class Segmentation:
@@ -107,6 +114,25 @@ def _combined_distance(lab_values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     return dc + m * ds / step
 
 
+def _window_distances(planes: np.ndarray, seeds: np.ndarray, xs: np.ndarray,
+                      ys: np.ndarray, m: float, step: float) -> np.ndarray:
+    """Combined distance from each seed to every cell of its window.
+
+    ``planes`` is the Lab image channel-first, (3, H, W); row s of ``xs`` and
+    ``ys`` holds the columns and rows of seed s's window.  The result,
+    (k, rows, columns), equals ``_combined_distance`` element by element;
+    cells off the image read the nearest pixel on it.
+    """
+    _, h, w = planes.shape
+    flat = (np.clip(ys, 0, h - 1) * w)[:, :, None] + np.clip(xs, 0, w - 1)[:, None, :]
+    sq = [np.square(plane.ravel()[flat] - seeds[:, c, None, None])
+          for c, plane in enumerate(planes)]
+    dc = np.sqrt((sq[0] + sq[1]) + sq[2])
+    ds = np.sqrt(np.square(xs - seeds[:, 3:4])[:, None, :]
+                 + np.square(ys - seeds[:, 4:5])[:, :, None])
+    return dc + m * ds / step
+
+
 def _assign(lab: LabImage, seeds: np.ndarray, step: float, m: float,
             prev_labels: np.ndarray | None) -> np.ndarray:
     """One localized assignment sweep: each seed claims pixels in its window.
@@ -115,24 +141,34 @@ def _assign(lab: LabImage, seeds: np.ndarray, step: float, m: float,
     takes the seed with the strictly smallest combined distance, so on ties
     the lower seed id wins.  Pixels outside every window keep their previous
     label (or fall back to a global nearest-seed pass on the first sweep).
+
+    The windows' distances are computed a block of seeds at a time; the merge
+    then walks the block's seeds in id order and only compares and copies.
     """
     h, w = lab.height, lab.width
     values = lab.values
     best = np.full((h, w), np.inf)
     labels = np.full((h, w), -1, dtype=np.int32) if prev_labels is None else prev_labels.copy()
     half = max(1, int(math.ceil(step)))
-    for s, row in enumerate(seeds):
-        cx, cy = int(nearest_pixel(row[3])), int(nearest_pixel(row[4]))
-        x0, x1 = max(0, cx - half), min(w - 1, cx + half)
-        y0, y1 = max(0, cy - half), min(h - 1, cy + half)
-        if x1 < x0 or y1 < y0:
-            continue
-        xs, ys = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
-        d = _combined_distance(values[y0:y1 + 1, x0:x1 + 1], xs, ys, row, m, step)
-        win_best = best[y0:y1 + 1, x0:x1 + 1]
-        better = d < win_best
-        win_best[better] = d[better]
-        labels[y0:y1 + 1, x0:x1 + 1][better] = s
+    offsets = np.arange(-half, half + 1)
+    xs = nearest_pixel(seeds[:, 3])[:, None] + offsets   # (k, 2h+1) window columns
+    ys = nearest_pixel(seeds[:, 4])[:, None] + offsets   # (k, 2h+1) window rows
+    x0, x1 = np.maximum(xs[:, 0], 0).tolist(), np.minimum(xs[:, -1], w - 1).tolist()
+    y0, y1 = np.maximum(ys[:, 0], 0).tolist(), np.minimum(ys[:, -1], h - 1).tolist()
+    ox, oy = xs[:, 0].tolist(), ys[:, 0].tolist()
+    planes = np.moveaxis(values, 2, 0).copy()
+    block = max(1, _WINDOW_BLOCK // len(offsets) ** 2)
+    for lo in range(0, len(seeds), block):
+        hi = min(lo + block, len(seeds))
+        d = _window_distances(planes, seeds[lo:hi], xs[lo:hi], ys[lo:hi], m, step)
+        for s in range(lo, hi):
+            if x1[s] < x0[s] or y1[s] < y0[s]:
+                continue
+            win = (slice(y0[s], y1[s] + 1), slice(x0[s], x1[s] + 1))
+            d_win = d[s - lo, y0[s] - oy[s]:y1[s] - oy[s] + 1, x0[s] - ox[s]:x1[s] - ox[s] + 1]
+            better = d_win < best[win]
+            np.copyto(best[win], d_win, where=better)
+            np.copyto(labels[win], s, where=better)
 
     missed = labels < 0
     if np.any(missed):
@@ -270,6 +306,8 @@ def slic_init(lab: LabImage, n_superpixels: int, seed: int = 0,
     h, w = lab.height, lab.width
     if n_superpixels < 1 or n_superpixels > h * w:
         raise ValueError(f"cannot place {n_superpixels} superpixels in a {h}x{w} image")
+    if not (math.isfinite(m) and m >= 0):
+        raise ValueError(f"compactness m must be finite and non-negative, got {m}")
     del seed
     step = math.sqrt(h * w / n_superpixels)
     rows, cols = _lattice_dims(n_superpixels, h, w)
@@ -283,20 +321,19 @@ def slic_init(lab: LabImage, n_superpixels: int, seed: int = 0,
     dy[:-1, :] = np.sum((lab.values[1:, :] - lab.values[:-1, :]) ** 2, axis=-1)
     grad = np.sqrt(dx + dy)
 
-    seeds = np.empty((n_superpixels, 5))
-    idx = 0
-    for y in sy:
-        for x in sx:
-            if idx == n_superpixels:
-                break
-            cx, cy = int(x), int(y)
-            bx, by, best = cx, cy, grad[cy, cx]
-            for ny in range(max(0, cy - 1), min(h, cy + 2)):
-                for nx in range(max(0, cx - 1), min(w, cx + 2)):
-                    if grad[ny, nx] < best:
-                        bx, by, best = nx, ny, grad[ny, nx]
-            seeds[idx] = (*lab.values[by, bx], bx, by)
-            idx += 1
+    # a lattice point moves to the first pixel of its 3x3 neighborhood, in
+    # row-major order, that holds a gradient strictly below its own and
+    # equal to the neighborhood minimum; off-image neighbors never win
+    cy, cx = (g.ravel()[:n_superpixels] for g in np.meshgrid(sy, sx, indexing="ij"))
+    near = np.array(_NEIGHBOR_OFFSETS)
+    around = np.pad(grad, 1, constant_values=np.inf)[cy[:, None] + 1 + near[:, 0],
+                                                     cx[:, None] + 1 + near[:, 1]]
+    lower = np.where(around < grad[cy, cx][:, None], around, np.inf)
+    pick = np.argmin(lower, axis=1)
+    moved = lower[np.arange(n_superpixels), pick] < np.inf
+    by = np.where(moved, cy + near[pick, 0], cy)
+    bx = np.where(moved, cx + near[pick, 1], cx)
+    seeds = np.column_stack([lab.values[by, bx], bx, by])
 
     labels = _assign(lab, seeds, step, m, prev_labels=None)
     return Segmentation(labels.astype(np.int32), seeds, step, (rows, cols))
@@ -321,9 +358,6 @@ def slic_iterate(seg: Segmentation, lab: LabImage, m: float = DEFAULT_M,
     labels = _enforce_connectivity(labels, seg.n_superpixels)
     labels = _fill_empty(labels, seeds)
     return Segmentation(labels.astype(np.int32), seeds, seg.step, seg.grid_shape)
-
-
-_NEIGHBOR_OFFSETS = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
 
 
 def soft_association(seg: Segmentation, lab: LabImage, m: float = DEFAULT_M,

@@ -295,6 +295,23 @@ def test_pipeline_exits_2_when_a_shared_mask_fails(tmp_path, capsys, monkeypatch
       "--t-end", "0"], "schedule must anneal downward through positive temperatures"),
     (["sample", "--method", "ssa-refined", "--rate", "0.05", "--gt", "missing.pgm",
       "--refine-steps", "-3"], "refinement steps must be at least 0, got -3"),
+    (["sample", "--method", "ssa-refined", "--rate", "0.05", "--gt", "missing.pgm",
+      "--lr", "nan"], "learning rate must be finite and positive, got nan"),
+    (["sample", "--method", "ssa-refined", "--rate", "0.05", "--gt", "missing.pgm",
+      "--lr", "0"], "learning rate must be finite and positive, got 0"),
+    (["sample", "--method", "sps", "--rate", "0.05", "--m", "nan"],
+     "compactness m must be finite and at least 0, got nan"),
+    (["sample", "--method", "sps", "--rate", "0.05", "--m", "-1"],
+     "compactness m must be finite and at least 0, got -1"),
+    (["sample", "--method", "sps", "--rate", "0.05", "--iters", "-1"],
+     "superpixel sweeps must be at least 0, got -1"),
+    (["pipeline", "--m", "inf"], "compactness m must be finite and at least 0, got inf"),
+    (["pipeline", "--iters", "-1"], "superpixel sweeps must be at least 0, got -1"),
+    (["pipeline", "--method", ","], "need at least one name; choose from random, grid, poisson, sps"),
+    (["pipeline", "--recon", ","],
+     "need at least one name; choose from colorization, nearest, bilateral"),
+    (["gen-scenes", "--kinds", ","],
+     "need at least one name; choose from piecewise-constant, planar-ramp, step-edge, textured"),
 ])
 def test_bad_configuration_is_a_usage_error_before_any_file_is_read(argv, reason, tmp_path,
                                                                      capsys):

@@ -1,5 +1,6 @@
 """Localized k-means clustering, soft association, loss, and sps placement."""
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -79,6 +80,12 @@ def test_init_seeds_avoid_edges():
 def test_init_rejects_oversubscription():
     with pytest.raises(ValueError):
         slic_init(_uniform(4, 4).to_lab(), 17)
+
+
+@pytest.mark.parametrize("m", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-9])
+def test_init_rejects_a_non_finite_or_negative_compactness(m):
+    with pytest.raises(ValueError, match="compactness m must be finite and non-negative"):
+        slic_init(_uniform(8, 8).to_lab(), 4, m=m)
 
 
 # ---------------------------------------------------------------- iterate
@@ -176,6 +183,143 @@ def test_iterate_deterministic():
     b = slic_iterate(slic_init(lab, 6), lab, iters=8)
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.seeds, b.seeds)
+
+
+# ---------------------------------------------------------------- per-seed reference
+
+def _reference_seeds(lab, n):
+    """The per-seed placement loop: each lattice point scans its 3x3
+    neighborhood in row-major order and moves on a strictly lower gradient."""
+    h, w = lab.height, lab.width
+    rows, cols = superpixel._lattice_dims(n, h, w)
+    sy = nearest_pixel((np.arange(rows) + 0.5) * h / rows)
+    sx = nearest_pixel((np.arange(cols) + 0.5) * w / cols)
+    dx = np.zeros((h, w))
+    dy = np.zeros((h, w))
+    dx[:, :-1] = np.sum((lab.values[:, 1:] - lab.values[:, :-1]) ** 2, axis=-1)
+    dy[:-1, :] = np.sum((lab.values[1:, :] - lab.values[:-1, :]) ** 2, axis=-1)
+    grad = np.sqrt(dx + dy)
+    seeds = np.empty((n, 5))
+    idx = 0
+    for y in sy:
+        for x in sx:
+            if idx == n:
+                break
+            cx, cy = int(x), int(y)
+            bx, by, best = cx, cy, grad[cy, cx]
+            for ny in range(max(0, cy - 1), min(h, cy + 2)):
+                for nx in range(max(0, cx - 1), min(w, cx + 2)):
+                    if grad[ny, nx] < best:
+                        bx, by, best = nx, ny, grad[ny, nx]
+            seeds[idx] = (*lab.values[by, bx], bx, by)
+            idx += 1
+    return seeds
+
+
+def _reference_assign(lab, seeds, step, m, prev_labels):
+    """The per-seed assignment sweep: one window and one distance computation
+    per seed.  The sweep over all windows at once must match it bit for bit."""
+    h, w = lab.height, lab.width
+    values = lab.values
+    best = np.full((h, w), np.inf)
+    labels = np.full((h, w), -1, dtype=np.int32) if prev_labels is None else prev_labels.copy()
+    half = max(1, int(math.ceil(step)))
+    for s, row in enumerate(seeds):
+        cx, cy = int(nearest_pixel(row[3])), int(nearest_pixel(row[4]))
+        x0, x1 = max(0, cx - half), min(w - 1, cx + half)
+        y0, y1 = max(0, cy - half), min(h - 1, cy + half)
+        if x1 < x0 or y1 < y0:
+            continue
+        xs, ys = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
+        d = superpixel._combined_distance(values[y0:y1 + 1, x0:x1 + 1], xs, ys, row, m, step)
+        win_best = best[y0:y1 + 1, x0:x1 + 1]
+        better = d < win_best
+        win_best[better] = d[better]
+        labels[y0:y1 + 1, x0:x1 + 1][better] = s
+
+    missed = labels < 0
+    if np.any(missed):
+        ys, xs = np.nonzero(missed)
+        pix = values[ys, xs]
+        d_all = np.empty((len(ys), len(seeds)))
+        for s, row in enumerate(seeds):
+            d_all[:, s] = superpixel._combined_distance(pix, xs, ys, row, m, step)
+        labels[ys, xs] = np.argmin(d_all, axis=1)
+    return labels
+
+
+def _outside_every_window(seeds, step, h, w):
+    """Pixels that no seed's search window covers."""
+    half = max(1, int(math.ceil(step)))
+    covered = np.zeros((h, w), dtype=bool)
+    for cx, cy in nearest_pixel(seeds[:, 3:5]):
+        covered[max(0, cy - half):cy + half + 1, max(0, cx - half):cx + half + 1] = True
+    return int((~covered).sum())
+
+
+def _assert_slic_matches_reference(lab, n, m, monkeypatch):
+    seg = slic_init(lab, n, m=m)
+    assert np.array_equal(seg.seeds, _reference_seeds(lab, n))
+    first = _reference_assign(lab, seg.seeds, seg.step, m, None)
+    assert seg.labels.dtype == np.int32 and np.array_equal(seg.labels, first)
+
+    moved = superpixel._update_seeds(seg.labels, lab, seg.seeds)
+    got = superpixel._assign(lab, moved, seg.step, m, seg.labels)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, _reference_assign(lab, moved, seg.step, m, seg.labels))
+
+    final = slic_iterate(seg, lab, m)
+    monkeypatch.setattr(superpixel, "_assign", _reference_assign)
+    want = slic_iterate(seg, lab, m)
+    monkeypatch.undo()
+    assert np.array_equal(final.labels, want.labels)
+    assert np.array_equal(final.seeds, want.seeds)
+
+
+@pytest.mark.parametrize("m", [0.0, 0.37, 1.0, 10.0])
+def test_window_distances_equal_the_per_seed_distance(m):
+    """Every in-image cell of every window, bit for bit, for seeds anywhere
+    on (and just off) a random image and a non-integer spacing."""
+    rng = np.random.default_rng(12)
+    lab = _random_img(23, 31, 4).to_lab()
+    step, half = 4.3, 5
+    seeds = np.column_stack([rng.uniform(-60, 60, size=(40, 3)),
+                             rng.uniform(-2, 32, size=40), rng.uniform(-2, 24, size=40)])
+    offsets = np.arange(-half, half + 1)
+    xs = nearest_pixel(seeds[:, 3])[:, None] + offsets
+    ys = nearest_pixel(seeds[:, 4])[:, None] + offsets
+    planes = np.moveaxis(lab.values, 2, 0).copy()
+    got = superpixel._window_distances(planes, seeds, xs, ys, m, step)
+    assert got.shape == (40, 2 * half + 1, 2 * half + 1)
+    for s, row in enumerate(seeds):
+        inx, iny = (xs[s] >= 0) & (xs[s] < 31), (ys[s] >= 0) & (ys[s] < 23)
+        gx, gy = np.meshgrid(xs[s][inx], ys[s][iny])
+        want = superpixel._combined_distance(lab.values[gy, gx], gx, gy, row, m, step)
+        assert np.array_equal(got[s][np.ix_(iny, inx)], want)
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0, 10.0])
+@pytest.mark.parametrize("height, width, n", [(120, 160, 48), (240, 320, 192)])
+@pytest.mark.parametrize("kind", SCENE_KINDS)
+def test_slic_matches_the_per_seed_reference_on_scenes(kind, height, width, n, m, monkeypatch):
+    lab = gen_scene(kind, height, width, 1).rgb.to_lab()
+    _assert_slic_matches_reference(lab, n, m, monkeypatch)
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0, 10.0])
+@pytest.mark.parametrize("height, width, n, fallback", [
+    (6, 90, 3, True),     # strips: the first sweep leaves pixels to the fallback
+    (4, 200, 2, True),
+    (8, 8, 64, False),    # every pixel a seed, window half-width 1
+    (16, 16, 1, False),
+])
+def test_slic_matches_the_per_seed_reference_on_edge_cases(height, width, n, fallback, m,
+                                                           monkeypatch):
+    for lab in (_random_img(height, width, 8).to_lab(),
+                gen_scene("textured", height, width, 1).rgb.to_lab()):
+        seg = slic_init(lab, n, m=m)
+        assert (_outside_every_window(seg.seeds, seg.step, height, width) > 0) == fallback
+        _assert_slic_matches_reference(lab, n, m, monkeypatch)
 
 
 # ---------------------------------------------------------------- connectivity
