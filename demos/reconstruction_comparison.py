@@ -32,8 +32,7 @@ def main():
 
     scene = gen_scene(args.kind, args.height, args.width, args.seed)
     n = target_count(args.rate, args.height, args.width)
-    mask = locations_to_mask(sps_sample(scene.rgb, n, seed=args.seed),
-                             args.height, args.width)
+    mask = locations_to_mask(sps_sample(scene.rgb, n), args.height, args.width)
     sparse = apply_mask(scene.depth, mask)
     lab = rgb_to_lab(scene.rgb)
     print(f"{args.kind} scene, {n} adaptive samples "

@@ -49,8 +49,7 @@ def main():
         "random": random_mask(args.height, args.width, n, args.seed),
         "grid": grid_mask(args.height, args.width, n),
         "poisson": poisson_mask(args.height, args.width, n, args.seed),
-        "sps": locations_to_mask(sps_sample(scene.rgb, n, seed=args.seed),
-                                 args.height, args.width),
+        "sps": locations_to_mask(sps_sample(scene.rgb, n), args.height, args.width),
     }
 
     print("(a region with no sample can only be guessed from its neighbors,"

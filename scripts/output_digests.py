@@ -11,10 +11,12 @@ generated scenes with every sampler, reconstructor, two rates and two seeds,
 once serial and once with ``--workers 2``; Poisson-disk masks and radii at
 120x160 with 48 samples for seeds 0-9;
 ``sample`` masks, ``--samples-out`` and ``--seg-out`` for every method, with
-``ssa-refined`` at 1, 20 and 200 refinement steps and ``sps`` also at
-``--m 0`` and ``--m 10``; ``sps`` on a 6x90 strip with 3 samples, where the
-first SLIC sweep leaves pixels outside every seed window; ``reconstruct`` outputs
-for every method; ``sps`` on one 240x320 ``textured`` scene, the size and the
+``ssa-refined`` at 1, 20 and 200 refinement steps, ``sps`` also at
+``--m 0`` and ``--m 10`` and ``grid`` also at ``--rate 0.5`` on scene ``000``;
+the soft association (weights and seed ids) and ``slic_loss`` of the ``sps``
+segmentation of each of those three scenes; ``sps`` and ``grid`` on a 6x90
+strip with 3 samples, where the first SLIC sweep leaves pixels outside every
+seed window; ``reconstruct`` outputs for every method; ``sps`` on one 240x320 ``textured`` scene, the size and the
 budget (192 samples) of the benchmark's frames, where connectivity enforcement
 merges the most orphans; ``ssa-refined`` on one 120x160 ``step-edge`` scene
 at the benchmark's refine budget (48 samples, 200 steps); ``grad-check`` over
@@ -31,7 +33,7 @@ import io
 import sys
 from pathlib import Path
 
-from depthsample import cli, evaluate, imagedata, samplers, scenes
+from depthsample import cli, evaluate, imagedata, samplers, scenes, superpixel
 
 HEIGHT, WIDTH = 36, 48
 RATE = "0.03"
@@ -70,6 +72,8 @@ def main(out: Path) -> None:
         runs += [(f"sps-m{m}", "sps", ["--m", m]) for m in ("0", "10")]
         runs += [(f"ssa-refined-{steps}", "ssa-refined", ["--gt", gt, "--refine-steps", str(steps)])
                  for steps in (1, 20, 200)]
+        if stem == "000":
+            runs.append(("grid-rate0.5", "grid", ["--rate", "0.5"]))
         for name, method, extra in runs:
             name = f"{stem}-{name}"
             if method in ("sps", "ssa-refined"):
@@ -78,6 +82,15 @@ def main(out: Path) -> None:
                 ["sample", "--method", method, "--rate", RATE, "--seed", "4", "--in", rgb,
                  "--out", str(out / f"{name}-mask.pgm"),
                  "--samples-out", str(out / f"{name}-locs.csv"), *extra])
+
+        image = imagedata.load_ppm(rgb)
+        lab = imagedata.rgb_to_lab(image)
+        n = samplers.target_count(float(RATE), HEIGHT, WIDTH)
+        seg = superpixel.sps_sample(image, n, return_segmentation=True)[1]
+        assoc = superpixel.soft_association(seg, lab)
+        (out / f"{stem}-sps-soft-weights.bin").write_bytes(assoc.weights.tobytes())
+        (out / f"{stem}-sps-soft-ids.bin").write_bytes(assoc.seed_ids.tobytes())
+        (out / f"{stem}-sps-slic-loss.txt").write_text(repr(superpixel.slic_loss(assoc, lab)) + "\n")
 
         depth = imagedata.load_pgm16(gt)
         sparse = imagedata.apply_mask(depth, imagedata.load_mask(out / f"{stem}-poisson-mask.pgm"))
@@ -106,6 +119,10 @@ def main(out: Path) -> None:
          "--out", str(out / "textured-6x90-sps-mask.pgm"),
          "--samples-out", str(out / "textured-6x90-sps-locs.csv"),
          "--seg-out", str(out / "textured-6x90-sps-seg.pgm")])
+    run(out, "sample-textured-6x90-grid",
+        ["sample", "--method", "grid", "--rate", "0.005", "--in", str(strip_dir / "000_rgb.ppm"),
+         "--out", str(out / "textured-6x90-grid-mask.pgm"),
+         "--samples-out", str(out / "textured-6x90-grid-locs.csv")])
 
     refine_dir = out / "scenes-step-edge"
     run(out, "gen-scenes-step-edge", ["gen-scenes", "--out", str(refine_dir), "--count", "1",

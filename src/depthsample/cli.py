@@ -95,6 +95,12 @@ def _checked(conv, ok, reason: str):
     return convert
 
 
+def _finite_positive(what: str):
+    """Converter for a float that must be finite and above 0 (NaN fails too)."""
+    return _checked(float, lambda v: np.isfinite(v) and v > 0,
+                    f"{what} must be finite and positive")
+
+
 _rate = _checked(float, lambda v: 0 < v <= 1, "sampling rate must be in (0, 1]")
 _workers = _checked(int, lambda v: v >= 1, "need at least one worker")
 _refine_steps = _checked(int, lambda v: v >= 0, "refinement steps must be at least 0")
@@ -103,8 +109,16 @@ _step = _checked(float, lambda v: v > 0, "finite-difference step must be positiv
 _compactness = _checked(float, lambda v: np.isfinite(v) and v >= 0,
                         "compactness m must be finite and at least 0")
 _sweeps = _checked(int, lambda v: v >= 0, "superpixel sweeps must be at least 0")
-_lr = _checked(float, lambda v: np.isfinite(v) and v > 0,
-               "learning rate must be finite and positive")
+_lr = _finite_positive("learning rate")
+_sigma_c = _finite_positive("color bandwidth sigma_c")
+_sigma_s = _finite_positive("spatial sigma sigma_s")
+_radius = _finite_positive("bilateral radius")
+_tol = _finite_positive("solver tolerance")
+_max_iters = _checked(int, lambda v: v >= 0, "solver iteration cap must be at least 0")
+_tolerance = _finite_positive("gradient error tolerance")
+_seed = _checked(int, lambda v: v >= 0, "seed must be at least 0")
+_count = _checked(int, lambda v: v >= 1, "need at least one scene")
+_side = _checked(int, lambda v: v >= 4, "scene sides must be at least 4 pixels")
 
 
 def _rates(text: str) -> tuple[float, ...]:
@@ -119,8 +133,8 @@ def _ssa_config(window: int, t_start: float = 1.0, t_end: float = 0.1) -> SsaCon
         raise _Usage(str(exc))
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
+def _seeds(text: str) -> tuple[int, ...]:
+    return tuple(_seed(v) for v in text.split(","))
 
 
 def _names(text: str) -> tuple[str, ...]:
@@ -362,7 +376,7 @@ def _build_parser():
     _opt(p, reg, "--gt", str, None, "ground-truth depth (16-bit PGM); required for ssa-refined")
     _opt(p, reg, "--samples-out", str, None, "also write continuous locations as CSV")
     _opt(p, reg, "--seg-out", str, None, "dump superpixel labels as 16-bit PGM")
-    _opt(p, reg, "--seed", int, 0, "random seed")
+    _opt(p, reg, "--seed", _seed, 0, "random seed, at least 0")
     _opt(p, reg, "--m", _compactness, 1.0, "superpixel compactness weight, finite and at least 0")
     _opt(p, reg, "--iters", _sweeps, 10, "superpixel refinement sweeps, at least 0")
     _opt(p, reg, "--window", int, 5, "soft-sampling window size")
@@ -377,11 +391,13 @@ def _build_parser():
     _opt(p, reg, "--in", str, _REQUIRED, "sparse depth (16-bit PGM)", required=True)
     _opt(p, reg, "--out", str, _REQUIRED, "output dense depth (16-bit PGM)", required=True)
     _opt(p, reg, "--rgb", str, None, "guiding RGB image (PPM)")
-    _opt(p, reg, "--sigma-c", float, 10.0, "color affinity bandwidth")
-    _opt(p, reg, "--sigma-s", float, None, "bilateral spatial sigma (default: half sample spacing)")
-    _opt(p, reg, "--radius", float, None, "bilateral radius (default: 3 spatial sigmas)")
-    _opt(p, reg, "--tol", float, 1e-6, "solver relative residual tolerance")
-    _opt(p, reg, "--max-iters", int, 20000, "solver iteration cap")
+    _opt(p, reg, "--sigma-c", _sigma_c, 10.0, "color affinity bandwidth, finite and above 0")
+    _opt(p, reg, "--sigma-s", _sigma_s, None,
+         "bilateral spatial sigma, finite and above 0 (default: half sample spacing)")
+    _opt(p, reg, "--radius", _radius, None,
+         "bilateral radius, finite and above 0 (default: 3 spatial sigmas)")
+    _opt(p, reg, "--tol", _tol, 1e-6, "solver relative residual tolerance, finite and above 0")
+    _opt(p, reg, "--max-iters", _max_iters, 20000, "solver iteration cap, at least 0")
 
     p, reg = command("eval", "compare an estimated depth map against ground truth")
     _opt(p, reg, "--est", str, _REQUIRED, "estimated depth (16-bit PGM)", required=True)
@@ -393,34 +409,35 @@ def _build_parser():
     _opt(p, reg, "--method", _choices(SAMPLERS), ("sps",), "comma-separated samplers")
     _opt(p, reg, "--recon", _choices(RECONSTRUCTORS), ("colorization",), "comma-separated reconstructors")
     _opt(p, reg, "--rate", _rates, (0.0025,), "comma-separated sampling rates in (0, 1]")
-    _opt(p, reg, "--seeds", _ints, (0,), "comma-separated seeds")
+    _opt(p, reg, "--seeds", _seeds, (0,), "comma-separated seeds, each at least 0")
     _opt(p, reg, "--cells-out", str, None, "also write the per-scene cell CSV")
     _opt(p, reg, "--json-out", str, None, "also write a JSON mirror of the report")
     _opt(p, reg, "--timing", _parse_bool, False, "include wall-clock times (breaks byte reproducibility)")
     _opt(p, reg, "--workers", _workers, 1, "parallel evaluation threads, at least 1")
     _opt(p, reg, "--m", _compactness, 1.0, "superpixel compactness weight, finite and at least 0")
     _opt(p, reg, "--iters", _sweeps, 10, "superpixel refinement sweeps, at least 0")
-    _opt(p, reg, "--sigma-c", float, 10.0, "color affinity bandwidth")
-    _opt(p, reg, "--tol", float, 1e-6, "solver relative residual tolerance")
-    _opt(p, reg, "--max-iters", int, 20000, "solver iteration cap")
+    _opt(p, reg, "--sigma-c", _sigma_c, 10.0, "color affinity bandwidth, finite and above 0")
+    _opt(p, reg, "--tol", _tol, 1e-6, "solver relative residual tolerance, finite and above 0")
+    _opt(p, reg, "--max-iters", _max_iters, 20000, "solver iteration cap, at least 0")
 
     p, reg = command("grad-check", "verify soft-sampling gradients against finite differences")
     _opt(p, reg, "--cases", _cases, 1000, "number of randomized cases, at least 1")
     _opt(p, reg, "--window", int, 5, "soft-sampling window size")
-    _opt(p, reg, "--seed", int, 0, "random seed")
+    _opt(p, reg, "--seed", _seed, 0, "random seed, at least 0")
     _opt(p, reg, "--t-min", float, 0.2, "low end of the temperature range, above 0")
     _opt(p, reg, "--t-max", float, 2.0, "high end of the temperature range")
     _opt(p, reg, "--step", _step, 1e-4, "finite-difference step in pixels, above 0")
-    _opt(p, reg, "--tolerance", float, 1e-4, "maximum allowed relative error")
+    _opt(p, reg, "--tolerance", _tolerance, 1e-4,
+         "maximum allowed relative error, finite and above 0")
 
     p, reg = command("gen-scenes", "write synthetic RGB-D scene pairs")
     _opt(p, reg, "--out", str, _REQUIRED, "output directory", required=True)
-    _opt(p, reg, "--count", int, 10, "number of scenes")
+    _opt(p, reg, "--count", _count, 10, "number of scenes, at least 1")
     _opt(p, reg, "--kinds", _choices(scenes.SCENE_KINDS), scenes.SCENE_KINDS,
          "comma-separated scene kinds, cycled")
-    _opt(p, reg, "--height", int, 120, "scene height in pixels")
-    _opt(p, reg, "--width", int, 160, "scene width in pixels")
-    _opt(p, reg, "--seed", int, 0, "base seed; scene i uses seed + i")
+    _opt(p, reg, "--height", _side, 120, "scene height in pixels, at least 4")
+    _opt(p, reg, "--width", _side, 160, "scene width in pixels, at least 4")
+    _opt(p, reg, "--seed", _seed, 0, "base seed, at least 0; scene i uses seed + i")
 
     return parser, registries
 

@@ -201,7 +201,7 @@ def sample(sampler: str, rgb: RgbImage, n: int, seed: int, m: float,
     """
     h, w = rgb.height, rgb.width
     if sampler == "sps":
-        locations, seg = sps_sample(rgb, n, m, iters, seed, return_segmentation=True)
+        locations, seg = sps_sample(rgb, n, m, iters, return_segmentation=True)
         return locations_to_mask(locations, h, w), locations, seg
     if sampler == "random":
         mask = random_mask(h, w, n, seed)

@@ -72,6 +72,12 @@ class ColorizationResult:
     residual: float
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Reject a bandwidth or radius that is not finite and positive (NaN included)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def build_affinity(lab: LabImage, sigma_c: float = 10.0) -> AffinityGraph:
     """Gaussian color affinities between 8-neighbors, row-normalized.
 
@@ -81,8 +87,7 @@ def build_affinity(lab: LabImage, sigma_c: float = 10.0) -> AffinityGraph:
     Rows whose sum is below the smallest normal float (its reciprocal
     overflows) stay zero.
     """
-    if sigma_c <= 0:
-        raise ValueError(f"sigma_c must be positive, got {sigma_c}")
+    _check_positive("sigma_c", sigma_c)
     h, w = lab.height, lab.width
     n = h * w
     idx = np.arange(n).reshape(h, w)
@@ -225,10 +230,10 @@ def bilateral_reconstruct(lab: LabImage, sparse_depth: DepthMap,
     h, w = lab.height, lab.width
     if sigma_s is None:
         sigma_s = 0.5 * math.sqrt(h * w / len(ys))
-    if sigma_s <= 0 or sigma_c <= 0:
-        raise ValueError("bilateral sigmas must be positive")
     if radius is None:
         radius = 3.0 * sigma_s
+    for name, value in (("sigma_s", sigma_s), ("sigma_c", sigma_c), ("radius", radius)):
+        _check_positive(name, value)
     r_int = max(1, int(math.ceil(radius)))
 
     num = np.zeros((h, w))

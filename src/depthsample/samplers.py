@@ -72,6 +72,14 @@ def _lattice_dims(n: int, height: int, width: int) -> tuple[int, int]:
     return rows, cols
 
 
+def _lattice_points(n: int, height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the first ``n`` points of ``grid_mask``'s lattice, in scan order."""
+    rows, cols = _lattice_dims(n, height, width)
+    ys = nearest_pixel((np.arange(rows) + 0.5) * height / rows)
+    xs = nearest_pixel((np.arange(cols) + 0.5) * width / cols)
+    return np.repeat(ys, cols)[:n], np.tile(xs, rows)[:n]
+
+
 def grid_mask(height: int, width: int, n_samples: int) -> SamplingMask:
     """Regular grid mask with approximately square cells.
 
@@ -80,17 +88,8 @@ def grid_mask(height: int, width: int, n_samples: int) -> SamplingMask:
     scan order are dropped.
     """
     _check_capacity(n_samples, height, width)
-    rows, cols = _lattice_dims(n_samples, height, width)
-    ys = nearest_pixel((np.arange(rows) + 0.5) * height / rows)
-    xs = nearest_pixel((np.arange(cols) + 0.5) * width / cols)
     bits = np.zeros((height, width), dtype=bool)
-    taken = 0
-    for y in ys:
-        for x in xs:
-            if taken == n_samples:
-                break
-            bits[y, x] = True
-            taken += 1
+    bits[_lattice_points(n_samples, height, width)] = True
     return SamplingMask(bits)
 
 

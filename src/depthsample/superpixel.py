@@ -21,7 +21,7 @@ import numpy as np
 from scipy import ndimage
 
 from .imagedata import LabImage, RgbImage, SampleSet, nearest_pixel, rgb_to_lab
-from .samplers import _lattice_dims
+from .samplers import _lattice_dims, _lattice_points
 
 __all__ = [
     "DEFAULT_M",
@@ -58,14 +58,22 @@ class Segmentation:
     what defines each pixel's 3x3 seed neighborhood for soft association.
     """
 
-    labels: np.ndarray            # (H, W) int32
-    seeds: np.ndarray             # (N, 5) float64
-    step: float                   # expected spacing S
-    grid_shape: tuple[int, int]   # seed lattice (rows, cols)
+    labels: np.ndarray   # (H, W) int32
+    seeds: np.ndarray    # (N, 5) float64
 
     @property
     def n_superpixels(self) -> int:
         return self.seeds.shape[0]
+
+    @property
+    def step(self) -> float:
+        """Expected superpixel spacing S = sqrt(H * W / N)."""
+        return math.sqrt(self.height * self.width / self.n_superpixels)
+
+    @property
+    def grid_shape(self) -> tuple[int, int]:
+        """Seed lattice (rows, cols)."""
+        return _lattice_dims(self.n_superpixels, self.height, self.width)
 
     @property
     def height(self) -> int:
@@ -108,9 +116,9 @@ class SuperpixelSummary:
 
 def _combined_distance(lab_values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                        seed: np.ndarray, m: float, step: float) -> np.ndarray:
-    """d = color norm + m * spatial norm / S against one seed row."""
-    dc = np.sqrt(np.sum((lab_values - seed[:3]) ** 2, axis=-1))
-    ds = np.sqrt((xs - seed[3]) ** 2 + (ys - seed[4]) ** 2)
+    """d = color norm + m * spatial norm / S against seed rows of any leading shape."""
+    dc = np.sqrt(np.sum((lab_values - seed[..., :3]) ** 2, axis=-1))
+    ds = np.sqrt((xs - seed[..., 3]) ** 2 + (ys - seed[..., 4]) ** 2)
     return dc + m * ds / step
 
 
@@ -181,23 +189,23 @@ def _assign(lab: LabImage, seeds: np.ndarray, step: float, m: float,
     return labels
 
 
-def _update_seeds(labels: np.ndarray, lab: LabImage, seeds_old: np.ndarray) -> np.ndarray:
-    """Move every seed to the mean (L, a, b, x, y) of its members.
+def _label_means(labels: np.ndarray, lab: LabImage,
+                 seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean (L, a, b, x, y) of every label's members, and the member counts.
 
-    A superpixel that lost all pixels keeps its previous seed row.
+    A label with no members keeps its row of ``seeds``.
     """
-    n = seeds_old.shape[0]
-    h, w = labels.shape
+    n = seeds.shape[0]
     flat = labels.ravel()
     counts = np.bincount(flat, minlength=n).astype(np.float64)
-    xs, ys = np.meshgrid(np.arange(w), np.arange(h))
-    seeds = seeds_old.copy()
+    ys, xs = np.indices(labels.shape)
+    means = seeds.copy()
     cols = [lab.values[:, :, 0], lab.values[:, :, 1], lab.values[:, :, 2], xs, ys]
     filled = counts > 0
     for k, channel in enumerate(cols):
         sums = np.bincount(flat, weights=channel.ravel(), minlength=n)
-        seeds[filled, k] = sums[filled] / counts[filled]
-    return seeds
+        means[filled, k] = sums[filled] / counts[filled]
+    return means, counts
 
 
 def _enforce_connectivity(labels: np.ndarray, n: int) -> np.ndarray:
@@ -292,8 +300,7 @@ def _fill_empty(labels: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     return labels
 
 
-def slic_init(lab: LabImage, n_superpixels: int, seed: int = 0,
-              m: float = DEFAULT_M) -> Segmentation:
+def slic_init(lab: LabImage, n_superpixels: int, m: float = DEFAULT_M) -> Segmentation:
     """Seed a segmentation on a regular lattice and assign initial labels.
 
     Seeds sit at the centers of an approximately square lattice (trailing
@@ -301,18 +308,13 @@ def slic_init(lab: LabImage, n_superpixels: int, seed: int = 0,
     seed moves to the lowest-gradient pixel of its 3x3 neighborhood so seeds
     avoid edges; gradient ties keep the original position.  Initial labels
     come from one localized assignment sweep.  Initialization is
-    deterministic; ``seed`` only keeps the call shape of the samplers.
+    deterministic.
     """
     h, w = lab.height, lab.width
     if n_superpixels < 1 or n_superpixels > h * w:
         raise ValueError(f"cannot place {n_superpixels} superpixels in a {h}x{w} image")
     if not (math.isfinite(m) and m >= 0):
         raise ValueError(f"compactness m must be finite and non-negative, got {m}")
-    del seed
-    step = math.sqrt(h * w / n_superpixels)
-    rows, cols = _lattice_dims(n_superpixels, h, w)
-    sy = nearest_pixel((np.arange(rows) + 0.5) * h / rows)
-    sx = nearest_pixel((np.arange(cols) + 0.5) * w / cols)
 
     # forward-difference gradient magnitude in Lab space
     dx = np.zeros((h, w))
@@ -324,7 +326,7 @@ def slic_init(lab: LabImage, n_superpixels: int, seed: int = 0,
     # a lattice point moves to the first pixel of its 3x3 neighborhood, in
     # row-major order, that holds a gradient strictly below its own and
     # equal to the neighborhood minimum; off-image neighbors never win
-    cy, cx = (g.ravel()[:n_superpixels] for g in np.meshgrid(sy, sx, indexing="ij"))
+    cy, cx = _lattice_points(n_superpixels, h, w)
     near = np.array(_NEIGHBOR_OFFSETS)
     around = np.pad(grad, 1, constant_values=np.inf)[cy[:, None] + 1 + near[:, 0],
                                                      cx[:, None] + 1 + near[:, 1]]
@@ -335,8 +337,8 @@ def slic_init(lab: LabImage, n_superpixels: int, seed: int = 0,
     bx = np.where(moved, cx + near[pick, 1], cx)
     seeds = np.column_stack([lab.values[by, bx], bx, by])
 
-    labels = _assign(lab, seeds, step, m, prev_labels=None)
-    return Segmentation(labels.astype(np.int32), seeds, step, (rows, cols))
+    labels = _assign(lab, seeds, math.sqrt(h * w / n_superpixels), m, prev_labels=None)
+    return Segmentation(labels.astype(np.int32), seeds)
 
 
 def slic_iterate(seg: Segmentation, lab: LabImage, m: float = DEFAULT_M,
@@ -354,10 +356,10 @@ def slic_iterate(seg: Segmentation, lab: LabImage, m: float = DEFAULT_M,
     labels, seeds = seg.labels, seg.seeds
     for _ in range(iters):
         labels = _assign(lab, seeds, seg.step, m, prev_labels=labels)
-        seeds = _update_seeds(labels, lab, seeds)
+        seeds = _label_means(labels, lab, seeds)[0]
     labels = _enforce_connectivity(labels, seg.n_superpixels)
     labels = _fill_empty(labels, seeds)
-    return Segmentation(labels.astype(np.int32), seeds, seg.step, seg.grid_shape)
+    return Segmentation(labels.astype(np.int32), seeds)
 
 
 def soft_association(seg: Segmentation, lab: LabImage, m: float = DEFAULT_M,
@@ -388,10 +390,7 @@ def soft_association(seg: Segmentation, lab: LabImage, m: float = DEFAULT_M,
         sid = np.where(inside, r * cols + c, 0)
         present = inside & (sid < n)
         sid = np.where(present, sid, 0)
-        seed_rows = seg.seeds[sid]
-        dcol = np.sqrt(np.sum((lab.values - seed_rows[:, :, :3]) ** 2, axis=-1))
-        dsp = np.sqrt((xs - seed_rows[:, :, 3]) ** 2 + (ys - seed_rows[:, :, 4]) ** 2)
-        d = dcol + m * dsp / seg.step
+        d = _combined_distance(lab.values, xs, ys, seg.seeds[sid], m, seg.step)
         ids[:, :, slot] = np.where(present, sid, -1)
         score[:, :, slot] = np.where(present, -d / tau, -np.inf)
 
@@ -408,24 +407,13 @@ def centers(assoc_or_seg, lab: LabImage) -> SuperpixelSummary:
     superpixel reports its seed state) or a :class:`SoftAssociation` (weights
     are the soft assignment; every id must carry positive mass).
     """
+    if isinstance(assoc_or_seg, Segmentation):
+        out, mass = _label_means(assoc_or_seg.labels, lab, assoc_or_seg.seeds)
+        return SuperpixelSummary(out[:, :3], out[:, 3:5], mass)
+
     h, w = lab.height, lab.width
     xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
     channels = [lab.values[:, :, 0], lab.values[:, :, 1], lab.values[:, :, 2], xs, ys]
-
-    if isinstance(assoc_or_seg, Segmentation):
-        seg = assoc_or_seg
-        flat = seg.labels.ravel()
-        n = seg.n_superpixels
-        mass = np.bincount(flat, minlength=n).astype(np.float64)
-        sums = [np.bincount(flat, weights=ch.ravel(), minlength=n) for ch in channels]
-        filled = mass > 0
-        out = np.column_stack([
-            np.where(filled, np.divide(s, mass, out=np.zeros_like(s), where=filled), 0.0)
-            for s in sums
-        ])
-        out[~filled] = seg.seeds[~filled]
-        return SuperpixelSummary(out[:, :3], out[:, 3:5], mass)
-
     assoc: SoftAssociation = assoc_or_seg
     n = assoc.n_superpixels
     ids = assoc.seed_ids.reshape(-1, 9)
@@ -473,8 +461,7 @@ def slic_loss(assoc: SoftAssociation, lab: LabImage, m: float = DEFAULT_M) -> fl
 
 
 def sps_sample(img: RgbImage, n_samples: int, m: float = DEFAULT_M,
-               iters: int = 10, seed: int = 0,
-               return_segmentation: bool = False):
+               iters: int = 10, return_segmentation: bool = False):
     """Adaptive sampling: one depth sample per superpixel, at its mass center.
 
     Runs SLIC on the image, takes each superpixel's member mass center, and
@@ -484,17 +471,15 @@ def sps_sample(img: RgbImage, n_samples: int, m: float = DEFAULT_M,
     pair so callers can inspect or dump the labeling that drove placement.
     """
     lab = rgb_to_lab(img)
-    seg = slic_iterate(slic_init(lab, n_samples, seed, m), lab, m, iters)
+    seg = slic_iterate(slic_init(lab, n_samples, m), lab, m, iters)
     summary = centers(seg, lab)
     locs = summary.centers.copy()
-    for s in range(n_samples):
-        px = int(nearest_pixel(locs[s, 0]))
-        py = int(nearest_pixel(locs[s, 1]))
-        if seg.labels[py, px] == s:
-            continue
-        ys, xs = np.nonzero(seg.labels == s)
-        if len(ys) == 0:  # cannot happen after iterate; guard for raw inits
-            continue
+    at = seg.labels[nearest_pixel(locs[:, 1]), nearest_pixel(locs[:, 0])]
+    # each label's pixels in scan order, from one stable sort (none is empty)
+    order = np.argsort(seg.labels, axis=None, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(summary.counts)]).astype(np.int64)
+    for s in np.flatnonzero(at != np.arange(n_samples)).tolist():
+        ys, xs = np.divmod(order[bounds[s]:bounds[s + 1]], seg.width)
         d2 = (xs - locs[s, 0]) ** 2 + (ys - locs[s, 1]) ** 2
         best = int(np.argmin(d2))
         locs[s] = (xs[best], ys[best])

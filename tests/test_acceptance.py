@@ -239,7 +239,7 @@ def test_06_every_sampler_hits_the_exact_budget():
                 "random": random_mask(h, w, n, 0).count,
                 "grid": grid_mask(h, w, n).count,
                 "poisson": poisson_mask(h, w, n, 0).count,
-                "sps": locations_to_mask(sps_sample(rgb, n, iters=4, seed=0), h, w).count,
+                "sps": locations_to_mask(sps_sample(rgb, n, iters=4), h, w).count,
             }
             checks += len(counts)
             failures += sum(c != want for c in counts.values())

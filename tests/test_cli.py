@@ -312,6 +312,36 @@ def test_pipeline_exits_2_when_a_shared_mask_fails(tmp_path, capsys, monkeypatch
      "need at least one name; choose from colorization, nearest, bilateral"),
     (["gen-scenes", "--kinds", ","],
      "need at least one name; choose from piecewise-constant, planar-ramp, step-edge, textured"),
+    (["reconstruct", "--method", "colorization", "--sigma-c", "nan"],
+     "color bandwidth sigma_c must be finite and positive, got nan"),
+    (["reconstruct", "--method", "bilateral", "--sigma-c", "0"],
+     "color bandwidth sigma_c must be finite and positive, got 0"),
+    (["reconstruct", "--method", "bilateral", "--sigma-s", "nan"],
+     "spatial sigma sigma_s must be finite and positive, got nan"),
+    (["reconstruct", "--method", "bilateral", "--radius", "-1"],
+     "bilateral radius must be finite and positive, got -1"),
+    (["reconstruct", "--method", "colorization", "--tol", "nan"],
+     "solver tolerance must be finite and positive, got nan"),
+    (["reconstruct", "--method", "colorization", "--tol", "-1"],
+     "solver tolerance must be finite and positive, got -1"),
+    (["reconstruct", "--method", "colorization", "--max-iters", "-5"],
+     "solver iteration cap must be at least 0, got -5"),
+    (["pipeline", "--sigma-c", "inf"], "color bandwidth sigma_c must be finite and positive, got inf"),
+    (["pipeline", "--tol", "0"], "solver tolerance must be finite and positive, got 0"),
+    (["pipeline", "--max-iters", "-1"], "solver iteration cap must be at least 0, got -1"),
+    (["pipeline", "--seeds", "0,-1"], "seed must be at least 0, got -1"),
+    (["sample", "--method", "random", "--rate", "0.05", "--seed", "-1"],
+     "seed must be at least 0, got -1"),
+    (["grad-check", "--tolerance", "nan"],
+     "gradient error tolerance must be finite and positive, got nan"),
+    (["grad-check", "--tolerance", "-1"],
+     "gradient error tolerance must be finite and positive, got -1"),
+    (["grad-check", "--seed", "-2"], "seed must be at least 0, got -2"),
+    (["gen-scenes", "--seed", "-3"], "seed must be at least 0, got -3"),
+    (["gen-scenes", "--count", "-1"], "need at least one scene, got -1"),
+    (["gen-scenes", "--count", "0"], "need at least one scene, got 0"),
+    (["gen-scenes", "--height", "0"], "scene sides must be at least 4 pixels, got 0"),
+    (["gen-scenes", "--width", "3"], "scene sides must be at least 4 pixels, got 3"),
 ])
 def test_bad_configuration_is_a_usage_error_before_any_file_is_read(argv, reason, tmp_path,
                                                                      capsys):
@@ -326,6 +356,10 @@ def test_bad_configuration_is_a_usage_error_before_any_file_is_read(argv, reason
     ("rate = 2", "config key rate: sampling rate must be in (0, 1], got 2"),
     ("workers = 0", "config key workers: need at least one worker, got 0"),
     ("method = bogus", "config key method: unknown name 'bogus'"),
+    ("sigma_c = nan", "config key sigma_c: color bandwidth sigma_c must be finite and positive"),
+    ("tol = -1", "config key tol: solver tolerance must be finite and positive, got -1"),
+    ("max_iters = -5", "config key max_iters: solver iteration cap must be at least 0, got -5"),
+    ("seeds = 0,-1", "config key seeds: seed must be at least 0, got -1"),
 ])
 def test_bad_configuration_from_a_config_file_is_a_usage_error(line, reason, tmp_path, capsys):
     cfg = tmp_path / "pipeline.cfg"

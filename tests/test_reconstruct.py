@@ -66,6 +66,21 @@ def test_affinity_rejects_bad_bandwidth():
         build_affinity(_uniform_lab(3, 3), sigma_c=0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 0.0])
+def test_non_finite_or_non_positive_bandwidths_are_rejected(bad):
+    """NaN passes a plain ``<= 0`` test and would make every degree NaN, which
+    silently turns the solve into the nearest-sample fill."""
+    lab = _random_lab(6, 6, 3)
+    mask = np.zeros((6, 6), dtype=bool)
+    mask[1, 1] = mask[4, 4] = True
+    sparse = _sparse(np.full((6, 6), 2000.0), mask)
+    with pytest.raises(ValueError, match="sigma_c must be finite and positive"):
+        colorization_reconstruct(lab, sparse, SolverConfig(sigma_c=bad))
+    for name in ("sigma_s", "sigma_c", "radius"):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            bilateral_reconstruct(lab, sparse, **{name: bad})
+
+
 # ---------------------------------------------------------------- colorization
 
 def test_constant_samples_propagate_exactly():

@@ -4,9 +4,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from depthsample.imagedata import SampleSet
+from depthsample.imagedata import SampleSet, nearest_pixel
 from depthsample.samplers import (
     CapacityError,
+    _lattice_dims,
     grid_mask,
     locations_to_mask,
     poisson_mask,
@@ -93,6 +94,31 @@ def test_grid_mask_aspect_ratio_lattice():
 def test_grid_mask_trims_to_exact_count():
     for n in (5, 7, 13, 50):
         assert grid_mask(17, 23, n).count == n
+
+
+def _reference_grid(height, width, n):
+    """The row-major double loop over the lattice that grid_mask replaces."""
+    rows, cols = _lattice_dims(n, height, width)
+    ys = nearest_pixel((np.arange(rows) + 0.5) * height / rows)
+    xs = nearest_pixel((np.arange(cols) + 0.5) * width / cols)
+    bits = np.zeros((height, width), dtype=bool)
+    taken = 0
+    for y in ys:
+        for x in xs:
+            if taken == n:
+                break
+            bits[y, x] = True
+            taken += 1
+    return bits
+
+
+@pytest.mark.parametrize("height, width", [(5, 5), (4, 7), (1, 9), (17, 23)])
+def test_grid_mask_equals_the_row_major_loop_at_every_budget(height, width):
+    """Every n from 1 to H*W, so every overshoot and trim of the lattice."""
+    for n in range(1, height * width + 1):
+        got = grid_mask(height, width, n)
+        assert got.count == n
+        assert np.array_equal(got.bits, _reference_grid(height, width, n))
 
 
 def test_poisson_mask_exact_count():

@@ -263,7 +263,7 @@ def _assert_slic_matches_reference(lab, n, m, monkeypatch):
     first = _reference_assign(lab, seg.seeds, seg.step, m, None)
     assert seg.labels.dtype == np.int32 and np.array_equal(seg.labels, first)
 
-    moved = superpixel._update_seeds(seg.labels, lab, seg.seeds)
+    moved = superpixel._label_means(seg.labels, lab, seg.seeds)[0]
     got = superpixel._assign(lab, moved, seg.step, m, seg.labels)
     assert got.dtype == np.int32
     assert np.array_equal(got, _reference_assign(lab, moved, seg.step, m, seg.labels))
@@ -559,7 +559,7 @@ def test_loss_zero_when_every_pixel_is_its_own_superpixel():
         xs.ravel().astype(float),
         ys.ravel().astype(float),
     ])
-    seg = Segmentation(labels, seeds, step=1.0, grid_shape=(4, 4))
+    seg = Segmentation(labels, seeds)
     assoc = soft_association(seg, lab, tau=1e-4)
     # every pixel matches its own seed exactly, all rivals underflow to 0,
     # so the reconstruction is exact and the loss vanishes identically
@@ -598,11 +598,22 @@ def test_hard_centers_of_quadrant_blocks():
         [2, 2, 3, 3],
     ], dtype=np.int32)
     seeds = np.zeros((4, 5))
-    seg = Segmentation(labels, seeds, step=2.0, grid_shape=(2, 2))
+    seg = Segmentation(labels, seeds)
     summary = centers(seg, lab)
     want = [(0.5, 0.5), (2.5, 0.5), (0.5, 2.5), (2.5, 2.5)]
     assert np.allclose(summary.centers, want)
     assert np.allclose(summary.counts, 4)
+
+
+def test_hard_centers_report_an_empty_labels_seed_and_zero_count():
+    lab = _random_img(4, 4, 3).to_lab()
+    labels = np.array([[0, 0, 2, 2]] * 4, dtype=np.int32)   # label 1 owns no pixel
+    seeds = np.arange(15, dtype=np.float64).reshape(3, 5)
+    summary = centers(Segmentation(labels, seeds), lab)
+    assert summary.counts.tolist() == [8.0, 0.0, 8.0]
+    assert np.array_equal(summary.mean_lab[1], seeds[1, :3])
+    assert np.array_equal(summary.centers[1], seeds[1, 3:5])
+    assert np.array_equal(summary.centers[[0, 2]], [(0.5, 1.5), (2.5, 1.5)])
 
 
 def test_hard_centers_match_direct_summation():
