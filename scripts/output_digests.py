@@ -16,9 +16,12 @@ once serial and once with ``--workers 2``; Poisson-disk masks and radii at
 the soft association (weights and seed ids) and ``slic_loss`` of the ``sps``
 segmentation of each of those three scenes; ``sps`` and ``grid`` on a 6x90
 strip with 3 samples, where the first SLIC sweep leaves pixels outside every
-seed window; ``reconstruct`` outputs for every method; ``sps`` on one 240x320 ``textured`` scene, the size and the
-budget (192 samples) of the benchmark's frames, where connectivity enforcement
-merges the most orphans; ``ssa-refined`` on one 120x160 ``step-edge`` scene
+seed window; ``reconstruct`` outputs for every method; ``sps`` on one 240x320
+``textured`` scene, the size and the budget (192 samples) of the benchmark's
+frames, where connectivity enforcement merges the most orphans; the raw
+float64 bytes of ``nn_reconstruct`` on three of those masks: ``grid`` at
+``--rate 0.5`` on scene ``000`` (dense, with many ties), ``grid`` on the strip
+and ``sps`` at 240x320; ``ssa-refined`` on one 120x160 ``step-edge`` scene
 at the benchmark's refine budget (48 samples, 200 steps); ``grad-check`` over
 200 cases; the jitter and staleness experiment rows at full precision.
 The exit code, stdout and stderr of every command are outputs too, with
@@ -33,7 +36,7 @@ import io
 import sys
 from pathlib import Path
 
-from depthsample import cli, evaluate, imagedata, samplers, scenes, superpixel
+from depthsample import cli, evaluate, imagedata, reconstruct, samplers, scenes, superpixel
 
 HEIGHT, WIDTH = 36, 48
 RATE = "0.03"
@@ -46,6 +49,13 @@ def run(out: Path, name: str, argv: list[str]) -> None:
         code = cli.cli(argv)
     log = f"exit {code}\n{stdout.getvalue()}{stderr.getvalue()}"
     (out / f"{name}.log").write_text(log.replace(str(out), "<out>"))
+
+
+def write_nearest(out: Path, name: str, depth_path: Path) -> None:
+    """Keep the raw float64 bytes of the nearest-sample fill of a saved mask."""
+    mask = imagedata.load_mask(out / f"{name}-mask.pgm")
+    sparse = imagedata.apply_mask(imagedata.load_pgm16(depth_path), mask)
+    (out / f"{name}-nearest.bin").write_bytes(reconstruct.nn_reconstruct(sparse).depth.tobytes())
 
 
 def main(out: Path) -> None:
@@ -72,7 +82,7 @@ def main(out: Path) -> None:
         runs += [(f"sps-m{m}", "sps", ["--m", m]) for m in ("0", "10")]
         runs += [(f"ssa-refined-{steps}", "ssa-refined", ["--gt", gt, "--refine-steps", str(steps)])
                  for steps in (1, 20, 200)]
-        if stem == "000":
+        if stem == "000":  # dense and tie-heavy
             runs.append(("grid-rate0.5", "grid", ["--rate", "0.5"]))
         for name, method, extra in runs:
             name = f"{stem}-{name}"
@@ -82,6 +92,8 @@ def main(out: Path) -> None:
                 ["sample", "--method", method, "--rate", RATE, "--seed", "4", "--in", rgb,
                  "--out", str(out / f"{name}-mask.pgm"),
                  "--samples-out", str(out / f"{name}-locs.csv"), *extra])
+        if stem == "000":
+            write_nearest(out, "000-grid-rate0.5", Path(gt))
 
         image = imagedata.load_ppm(rgb)
         lab = imagedata.rgb_to_lab(image)
@@ -109,6 +121,7 @@ def main(out: Path) -> None:
          "--out", str(out / "textured-240x320-sps-mask.pgm"),
          "--samples-out", str(out / "textured-240x320-sps-locs.csv"),
          "--seg-out", str(out / "textured-240x320-sps-seg.pgm")])
+    write_nearest(out, "textured-240x320-sps", big_dir / "000_depth.pgm")
 
     strip_dir = out / "scenes-6x90"
     run(out, "gen-scenes-6x90", ["gen-scenes", "--out", str(strip_dir), "--count", "1",
@@ -123,6 +136,7 @@ def main(out: Path) -> None:
         ["sample", "--method", "grid", "--rate", "0.005", "--in", str(strip_dir / "000_rgb.ppm"),
          "--out", str(out / "textured-6x90-grid-mask.pgm"),
          "--samples-out", str(out / "textured-6x90-grid-locs.csv")])
+    write_nearest(out, "textured-6x90-grid", strip_dir / "000_depth.pgm")
 
     refine_dir = out / "scenes-step-edge"
     run(out, "gen-scenes-step-edge", ["gen-scenes", "--out", str(refine_dir), "--count", "1",

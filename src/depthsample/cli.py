@@ -105,7 +105,8 @@ _rate = _checked(float, lambda v: 0 < v <= 1, "sampling rate must be in (0, 1]")
 _workers = _checked(int, lambda v: v >= 1, "need at least one worker")
 _refine_steps = _checked(int, lambda v: v >= 0, "refinement steps must be at least 0")
 _cases = _checked(int, lambda v: v >= 1, "need at least one case")
-_step = _checked(float, lambda v: v > 0, "finite-difference step must be positive")
+_step = _checked(float, lambda v: np.isfinite(v) and v > 0,
+                 "finite-difference step must be positive")
 _compactness = _checked(float, lambda v: np.isfinite(v) and v >= 0,
                         "compactness m must be finite and at least 0")
 _sweeps = _checked(int, lambda v: v >= 0, "superpixel sweeps must be at least 0")
@@ -426,7 +427,7 @@ def _build_parser():
     _opt(p, reg, "--seed", _seed, 0, "random seed, at least 0")
     _opt(p, reg, "--t-min", float, 0.2, "low end of the temperature range, above 0")
     _opt(p, reg, "--t-max", float, 2.0, "high end of the temperature range")
-    _opt(p, reg, "--step", _step, 1e-4, "finite-difference step in pixels, above 0")
+    _opt(p, reg, "--step", _step, 1e-4, "finite-difference step in pixels, finite and above 0")
     _opt(p, reg, "--tolerance", _tolerance, 1e-4,
          "maximum allowed relative error, finite and above 0")
 

@@ -78,6 +78,9 @@ class ExperimentConfig:
     max_iters: int = 20000
     workers: int = 1
 
+    def __post_init__(self) -> None:
+        self.solver()  # rejects a bad solver field now, not in every cell
+
     def solver(self) -> SolverConfig:
         return SolverConfig(sigma_c=self.sigma_c, tol=self.tol, max_iters=self.max_iters)
 

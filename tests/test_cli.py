@@ -404,6 +404,7 @@ def test_grad_check_exit_codes(capsys):
     (["--cases", "-5"], "need at least one case, got -5"),
     (["--cases", "0"], "need at least one case, got 0"),
     (["--step", "0"], "finite-difference step must be positive, got 0"),
+    (["--step", "inf"], "finite-difference step must be positive, got inf"),
 ])
 def test_grad_check_bad_options_are_usage_errors(argv, reason, capsys):
     assert cli(["grad-check", "--cases", "5"] + argv) == 1

@@ -115,6 +115,13 @@ def test_full_sampling_with_solver_reproduces_ground_truth():
     assert row.converged
 
 
+@pytest.mark.parametrize("field, bad", [("tol", -1.0), ("tol", float("nan")), ("max_iters", -5),
+                                        ("sigma_c", 0.0)])
+def test_experiment_config_rejects_a_bad_solver_field_when_made(field, bad):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: bad})
+
+
 def test_failed_cell_is_recorded_and_run_continues():
     good = gen_scene("planar-ramp", 8, 10, 0)
     hollow = SyntheticScene(good.rgb, DepthMap(np.zeros((8, 10)),

@@ -1,4 +1,6 @@
 """Guided reconstruction: affinities, the propagation solver, and baselines."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,19 @@ def test_convergence_flag_honest_when_starved():
     assert res.residual > 1e-12
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("tol", float("nan")), ("tol", float("inf")), ("tol", 0.0), ("tol", -1.0),
+    ("max_iters", -5), ("sigma_c", float("nan")),
+])
+def test_solver_config_rejects_a_bad_field_when_made(field, bad):
+    """A NaN tolerance never stops CG, a negative cap reports negative
+    iterations, and a fully sampled image never reaches the bandwidth check
+    of build_affinity; all are refused where the config is made."""
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: bad})
+    SolverConfig(max_iters=0)  # no iterations is a valid cap
+
+
 @pytest.mark.parametrize("sigma_c", [1.0, 2.0])
 def test_pixels_whose_affinities_underflow_take_the_nearest_sample(sigma_c):
     """With a narrow color bandwidth on iid colors, every affinity of some
@@ -276,6 +291,122 @@ def test_nn_tie_goes_to_earlier_sample():
     depth = np.array([[111.0, 0.0, 222.0]])
     out = nn_reconstruct(_sparse(depth, mask))
     assert out.depth[0, 1] == 111.0
+
+
+def _reference_nn(sparse_depth):
+    """Brute-force nearest sample: every pixel against every sample, in chunks."""
+    ys, xs = np.nonzero(sparse_depth.valid)
+    values = sparse_depth.depth[ys, xs]
+    h, w = sparse_depth.height, sparse_depth.width
+    out = np.empty(h * w)
+    px, py = np.meshgrid(np.arange(w, dtype=np.int64), np.arange(h, dtype=np.int64))
+    px, py = px.ravel(), py.ravel()
+    chunk = max(1, 2_000_000 // max(1, len(ys)))
+    for start in range(0, h * w, chunk):
+        end = min(start + chunk, h * w)
+        d2 = (px[start:end, None] - xs) ** 2 + (py[start:end, None] - ys) ** 2
+        out[start:end] = values[np.argmin(d2, axis=1)]
+    return out.reshape(h, w)
+
+
+def _random_depth_sparse(mask, seed=0):
+    """Distinct random depths at the samples, so any wrong pick shows."""
+    depth = np.random.default_rng(seed).uniform(100, 9000, size=mask.shape)
+    return _sparse(depth, mask)
+
+
+def _lattice_mask(h, w, spacing, oy=0, ox=0):
+    mask = np.zeros((h, w), dtype=bool)
+    mask[oy::spacing, ox::spacing] = True
+    return mask
+
+
+def _random_mask(h, w, n, seed):
+    mask = np.zeros(h * w, dtype=bool)
+    mask[np.random.default_rng(seed).choice(h * w, n, replace=False)] = True
+    return mask.reshape(h, w)
+
+
+def _corner_mask():
+    """2,304 samples filling one 48x48 corner of a 240x960 image: far blocks
+    keep hundreds of candidates, the search's worst case."""
+    mask = np.zeros((240, 960), dtype=bool)
+    mask[:48, :48] = True
+    return mask
+
+
+def _two_symmetric_masks():
+    """Two samples mirrored about a pixel row, then about a pixel column, so
+    every pixel on that row or column is an exact tie."""
+    about_row = np.zeros((17, 13), dtype=bool)
+    about_row[8 - 5, 6] = about_row[8 + 5, 6] = True
+    about_col = np.zeros((13, 23), dtype=bool)
+    about_col[6, 11 - 7] = about_col[6, 11 + 7] = True
+    return [about_row, about_col]
+
+
+def _single_sample_masks():
+    masks = []
+    for h, w, y, x in ((1, 1, 0, 0), (9, 9, 4, 4), (20, 33, 19, 0), (31, 17, 0, 16)):
+        mask = np.zeros((h, w), dtype=bool)
+        mask[y, x] = True
+        masks.append(mask)
+    return masks
+
+
+def _strip_masks():
+    return [_random_mask(1, 97, 5, 1), _random_mask(83, 1, 4, 2),
+            _lattice_mask(1, 40, 3), _lattice_mask(45, 1, 6, oy=2)]
+
+
+def _ragged_masks():
+    """Sides that are not multiples of the block side."""
+    return [_random_mask(h, w, n, seed) for seed, (h, w, n) in
+            enumerate(((13, 21, 4), (7, 9, 2), (29, 11, 6), (57, 59, 17), (15, 100, 9)))]
+
+
+@pytest.mark.parametrize("masks", [
+    pytest.param([_lattice_mask(37, 53, s, oy, ox) for s in range(2, 8)
+                  for oy, ox in ((0, 0), (s // 2, s - 1))], id="lattices"),
+    pytest.param(_two_symmetric_masks(), id="two-symmetric"),
+    pytest.param(_single_sample_masks(), id="single-sample"),
+    pytest.param(_strip_masks(), id="strips"),
+    pytest.param(_ragged_masks(), id="ragged-sides"),
+])
+def test_nn_matches_brute_force_on_ties_and_edges(masks):
+    for mask in masks:
+        sparse = _random_depth_sparse(mask)
+        assert np.array_equal(nn_reconstruct(sparse).depth, _reference_nn(sparse))
+
+
+@pytest.mark.parametrize("mask", [
+    pytest.param(_random_mask(120, 160, 48, 1), id="120x160-n48"),
+    pytest.param(_random_mask(240, 320, 192, 2), id="240x320-n192"),
+    pytest.param(_random_mask(480, 640, 768, 3), id="480x640-n768"),
+    pytest.param(_random_mask(240, 960, 2304, 4), id="240x960-n2304"),
+    pytest.param(_corner_mask(), id="240x960-corner"),
+])
+def test_nn_matches_brute_force_at_sensor_sizes(mask):
+    sparse = _random_depth_sparse(mask)
+    assert np.array_equal(nn_reconstruct(sparse).depth, _reference_nn(sparse))
+
+
+@pytest.mark.parametrize("mask", [
+    pytest.param(_random_mask(480, 640, 768, 3), id="480x640-n768"),
+    pytest.param(_random_mask(240, 960, 2304, 4), id="240x960-n2304"),
+    pytest.param(_corner_mask(), id="240x960-corner"),
+])
+def test_nn_peak_memory_stays_bounded(mask):
+    """The brute force peaks at 51-53 MiB here; candidate tables that are not
+    processed in bounded groups reach 229 MiB to 1.6 GiB."""
+    sparse = _random_depth_sparse(mask)
+    tracemalloc.start()
+    try:
+        nn_reconstruct(sparse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
 
 
 # ---------------------------------------------------------------- bilateral
