@@ -23,7 +23,10 @@ float64 bytes of ``nn_reconstruct`` on three of those masks: ``grid`` at
 ``--rate 0.5`` on scene ``000`` (dense, with many ties), ``grid`` on the strip
 and ``sps`` at 240x320; ``ssa-refined`` on one 120x160 ``step-edge`` scene
 at the benchmark's refine budget (48 samples, 200 steps); ``grad-check`` over
-200 cases; the jitter and staleness experiment rows at full precision.
+200 cases; the jitter and staleness experiment rows at full precision, with
+jitter also over seeds 0-2 (so that range 0 shares one mask among three
+cells) and staleness also on a static four-frame sequence at delays 0 and 2
+(so that every delay shares one mask).
 The exit code, stdout and stderr of every command are outputs too, with
 OUTDIR written as ``<out>`` so that listings from different directories
 compare equal.
@@ -31,6 +34,7 @@ compare equal.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import sys
@@ -158,6 +162,11 @@ def main(out: Path) -> None:
     frames = scenes.gen_translating_sequence(HEIGHT, WIDTH, 5, shift_px=2, seed=3)
     rows = evaluate.temporal_experiment(frames, (0, 1, 2), cfg)
     (out / "temporal.txt").write_text(repr(rows) + "\n")
+    rows = evaluate.jitter_experiment(still, (0.0, 2.0, 5.0),
+                                      dataclasses.replace(cfg, seeds=(0, 1, 2)))
+    (out / "jitter-seeds3.txt").write_text(repr(rows) + "\n")
+    rows = evaluate.temporal_experiment([still[0]] * 4, (0, 2), cfg)
+    (out / "temporal-static.txt").write_text(repr(rows) + "\n")
 
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out))

@@ -165,6 +165,17 @@ def _choices(allowed: tuple[str, ...]):
     return convert
 
 
+def _distinct(conv):
+    """Converter for a list, by ``conv``, in which no entry may repeat."""
+    def convert(text: str) -> tuple:
+        values = conv(text)
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise argparse.ArgumentTypeError(f"{value} is listed twice in {text}")
+        return values
+    return convert
+
+
 def _opt(parser, registry, name, conv, default, help_text, required=False):
     dest = name.lstrip("-").replace("-", "_")
     if dest == "in":  # avoid the Python keyword
@@ -202,8 +213,8 @@ def _cmd_sample(args) -> int:
     rgb = load_ppm(args.infile)
     h, w = rgb.height, rgb.width
     n = target_count(args.rate, h, w)
-    mask, locations, seg = sample("sps" if refined else args.method, rgb, n, args.seed,
-                                  args.m, args.iters)
+    sampled = sample("sps" if refined else args.method, rgb, n, args.seed, args.m, args.iters)
+    locations, seg = sampled.locations, sampled.segmentation
     if refined:
         gt = load_pgm16(args.gt)
         if (gt.height, gt.width) != (h, w):
@@ -215,6 +226,8 @@ def _cmd_sample(args) -> int:
         if result.diverged:
             print("refinement diverged; using best locations seen", file=sys.stderr)
         mask = locations_to_mask(locations, h, w)
+    else:
+        mask = sampled.mask
 
     save_mask(mask, args.out)
     if args.samples_out:
@@ -407,10 +420,14 @@ def _build_parser():
     p, reg = command("pipeline", "sample + reconstruct + evaluate a scene directory")
     _opt(p, reg, "--in", str, _REQUIRED, "scene directory (NNN_rgb.ppm / NNN_depth.pgm)", required=True)
     _opt(p, reg, "--out", str, _REQUIRED, "aggregate report CSV", required=True)
-    _opt(p, reg, "--method", _choices(SAMPLERS), ("sps",), "comma-separated samplers")
-    _opt(p, reg, "--recon", _choices(RECONSTRUCTORS), ("colorization",), "comma-separated reconstructors")
-    _opt(p, reg, "--rate", _rates, (0.0025,), "comma-separated sampling rates in (0, 1]")
-    _opt(p, reg, "--seeds", _seeds, (0,), "comma-separated seeds, each at least 0")
+    _opt(p, reg, "--method", _distinct(_choices(SAMPLERS)), ("sps",),
+         "comma-separated distinct samplers")
+    _opt(p, reg, "--recon", _distinct(_choices(RECONSTRUCTORS)), ("colorization",),
+         "comma-separated distinct reconstructors")
+    _opt(p, reg, "--rate", _distinct(_rates), (0.0025,),
+         "comma-separated distinct sampling rates in (0, 1]")
+    _opt(p, reg, "--seeds", _distinct(_seeds), (0,),
+         "comma-separated distinct seeds, each at least 0")
     _opt(p, reg, "--cells-out", str, None, "also write the per-scene cell CSV")
     _opt(p, reg, "--json-out", str, None, "also write a JSON mirror of the report")
     _opt(p, reg, "--timing", _parse_bool, False, "include wall-clock times (breaks byte reproducibility)")

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .imagedata import DepthMap, LabImage, RgbImage, SampleSet, SamplingMask, apply_mask, rgb_to_lab
-from .reconstruct import SolverConfig, bilateral_reconstruct, colorization_reconstruct, nn_reconstruct
+from .reconstruct import (AffinityGraph, SolverConfig, bilateral_reconstruct, build_affinity,
+                          colorization_reconstruct, nn_reconstruct)
 from .samplers import grid_mask, locations_to_mask, poisson_mask, random_mask, target_count
 from .scenes import SyntheticScene
 from .superpixel import Segmentation, sps_sample
@@ -28,6 +29,7 @@ __all__ = [
     "mae",
     "rmse",
     "SAMPLERS",
+    "Sampling",
     "sample",
     "RECONSTRUCTORS",
     "ExperimentConfig",
@@ -80,6 +82,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         self.solver()  # rejects a bad solver field now, not in every cell
+        for name in ("samplers", "reconstructors", "rates", "seeds"):
+            _check_distinct(name, getattr(self, name))
 
     def solver(self) -> SolverConfig:
         return SolverConfig(sigma_c=self.sigma_c, tol=self.tol, max_iters=self.max_iters)
@@ -188,15 +192,49 @@ AGGREGATE_COLUMNS = ["sampler", "reconstructor", "rate", "seed",
                      "mae_mm", "rmse_mm", "samples", "time_ms"]
 
 
+def _check_distinct(name: str, values) -> None:
+    """Reject an experiment axis that lists an entry twice: its cells would be
+    evaluated and reported twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{name} lists {value!r} twice")
+
+
 def _cell_seed(*parts: int) -> int:
     """Stable per-cell RNG seed from the experiment seed and cell identity."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
+class Sampling:
+    """What a sampler placed: its ``mask``, its continuous ``locations`` and,
+    for ``sps``, the ``segmentation`` behind them (None for the baselines).
+
+    An ``sps`` mask is rasterised from the locations on first use, so a
+    caller that only moves the locations (jitter, refinement) does not pay
+    for it.  Unpacks and indexes as ``(mask, locations, segmentation)``.
+    """
+
+    def __init__(self, locations: SampleSet, segmentation: Segmentation | None,
+                 height: int, width: int, mask: SamplingMask | None = None):
+        self.locations, self.segmentation = locations, segmentation
+        self._size, self._mask = (height, width), mask
+
+    @property
+    def mask(self) -> SamplingMask:
+        if self._mask is None:
+            self._mask = locations_to_mask(self.locations, *self._size)
+        return self._mask
+
+    def __iter__(self):
+        return iter((self.mask, self.locations, self.segmentation))
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+
 def sample(sampler: str, rgb: RgbImage, n: int, seed: int, m: float,
-           iters: int) -> tuple[SamplingMask, SampleSet, Segmentation | None]:
-    """Run a sampler by name: its mask, its continuous locations and, for
-    ``sps``, the segmentation behind them (None for the baselines).
+           iters: int) -> Sampling:
+    """Run a sampler by name.
 
     Baselines report their mask pixels as locations.  Sampler functions are
     looked up by their module-global names at each call, so rebinding one of
@@ -204,8 +242,7 @@ def sample(sampler: str, rgb: RgbImage, n: int, seed: int, m: float,
     """
     h, w = rgb.height, rgb.width
     if sampler == "sps":
-        locations, seg = sps_sample(rgb, n, m, iters, return_segmentation=True)
-        return locations_to_mask(locations, h, w), locations, seg
+        return Sampling(*sps_sample(rgb, n, m, iters, return_segmentation=True), h, w)
     if sampler == "random":
         mask = random_mask(h, w, n, seed)
     elif sampler == "grid":
@@ -215,7 +252,7 @@ def sample(sampler: str, rgb: RgbImage, n: int, seed: int, m: float,
     else:
         raise ValueError(f"unknown sampler {sampler!r}, expected one of {SAMPLERS}")
     ys, xs = np.nonzero(mask.bits)
-    return mask, SampleSet(np.column_stack([xs, ys]).astype(np.float64)), None
+    return Sampling(SampleSet(np.column_stack([xs, ys]).astype(np.float64)), None, h, w, mask)
 
 
 def _cells(outer, cfg: ExperimentConfig):
@@ -231,16 +268,15 @@ def _mask_key(sampler: str, image: int, n: int, seed: int) -> tuple:
 
 
 def _shared_sample(images: list[RgbImage], cfg: ExperimentConfig):
-    """``sample``'s mask and locations over ``images`` for the length of one
-    harness call: each distinct mask (``_mask_key``) is computed once, by the
-    first cell that needs it, and returned again to every later cell with the
-    same key."""
+    """``sample`` over ``images`` for the length of one harness call: each
+    distinct mask (``_mask_key``) is sampled once, by the first cell that
+    needs it, and returned again to every later cell with the same key."""
     made = {}
 
-    def get(sampler: str, image: int, n: int, seed: int):
+    def get(sampler: str, image: int, n: int, seed: int) -> Sampling:
         key = _mask_key(sampler, image, n, seed)
         if key not in made:
-            made[key] = sample(sampler, images[image], n, seed, cfg.m, cfg.slic_iters)[:2]
+            made[key] = sample(sampler, images[image], n, seed, cfg.m, cfg.slic_iters)
         return made[key]
 
     return get
@@ -267,10 +303,10 @@ def _mapper(workers: int):
         yield pool.map
 
 
-def _reconstruct(recon: str, lab: LabImage, sparse: DepthMap,
-                 cfg: ExperimentConfig) -> tuple[DepthMap, bool]:
+def _reconstruct(recon: str, lab: LabImage, sparse: DepthMap, cfg: ExperimentConfig,
+                 graph: AffinityGraph | None = None) -> tuple[DepthMap, bool]:
     if recon == "colorization":
-        result = colorization_reconstruct(lab, sparse, cfg.solver())
+        result = colorization_reconstruct(lab, sparse, cfg.solver(), graph=graph)
         return result.depth, result.converged
     if recon == "nearest":
         return nn_reconstruct(sparse), True
@@ -279,26 +315,62 @@ def _reconstruct(recon: str, lab: LabImage, sparse: DepthMap,
     raise ValueError(f"unknown reconstructor {recon!r}, expected one of {RECONSTRUCTORS}")
 
 
-def _evaluate_mask(mask: SamplingMask, scene: SyntheticScene, lab: LabImage,
-                   recon: str, cfg: ExperimentConfig) -> tuple[float, float, bool]:
+def _evaluate_mask(mask: SamplingMask, scene: SyntheticScene, lab: LabImage, recon: str,
+                   cfg: ExperimentConfig,
+                   graph: AffinityGraph | None = None) -> tuple[float, float, bool]:
+    """(MAE, RMSE, converged) of one reconstructor on one mask.  ``graph``, if
+    given, is the scene's ``build_affinity(lab, cfg.sigma_c)``."""
     sparse = apply_mask(scene.depth, mask)
-    dense, converged = _reconstruct(recon, lab, sparse, cfg)
+    dense, converged = _reconstruct(recon, lab, sparse, cfg, graph)
     return mae(dense, scene.depth), rmse(dense, scene.depth), converged
+
+
+def _evaluation_key(recon: str, mask: SamplingMask) -> tuple[str, bytes]:
+    """What ``_evaluate_mask`` reads of a cell besides its scene: cells of
+    one scene with equal keys share one evaluation."""
+    return recon, mask.bits.tobytes()
+
+
+def _scene_graph(lab: LabImage, recons, cfg: ExperimentConfig) -> AffinityGraph | None:
+    """The affinity graph that a scene's colorization solves share, or None
+    when none of ``recons`` solves colorization."""
+    return build_affinity(lab, cfg.sigma_c) if "colorization" in recons else None
+
+
+def _score_scene(scene: SyntheticScene, lab: LabImage, jobs: list[tuple[str, SamplingMask]],
+                 cfg: ExperimentConfig) -> list[tuple[float, float, bool]]:
+    """``_evaluate_mask`` for each (reconstructor, mask) of ``jobs`` on one
+    scene, in order: each distinct ``_evaluation_key`` is evaluated once, and
+    colorization solves share one affinity graph, which lives only for this
+    call.  The masks are made before the graph, so that sampling never runs
+    while a graph is held."""
+    graph = _scene_graph(lab, {recon for recon, _ in jobs}, cfg)
+    made, out = {}, []
+    for recon, mask in jobs:
+        key = _evaluation_key(recon, mask)
+        if key not in made:
+            made[key] = _evaluate_mask(mask, scene, lab, recon, cfg, graph)
+        out.append(made[key])
+    return out
 
 
 def run_matrix(scenes: list[SyntheticScene], cfg: ExperimentConfig,
                scene_names: list[str] | None = None) -> EvalReport:
     """Evaluate every sampler x reconstructor x rate x seed on every scene.
 
-    Each distinct mask (``_mask_key``) is computed once, in a first pass, and
-    shared by every cell that uses it; the cells run in a second pass.  A
-    failed cell, or a cell whose mask failed, records the error message and
-    the run continues.  A cell's ``time_ms`` is its reconstruction and
-    scoring, plus the mask's sampling time on the first cell in canonical
-    order that uses the mask, so the cells' times add up to the run's work.
-    With ``cfg.workers`` > 1 both passes run in a thread pool; results are
-    ordered by cell identity, not completion, so reports do not depend on
-    scheduling.
+    Each distinct mask (``_mask_key``) is computed once, in a first pass.
+    Then each distinct evaluation (the scene, the reconstructor and the
+    mask's bits) runs once, scene by scene, and its scores go to every cell
+    that shares it: ``grid`` and ``sps`` give every seed the same mask.  A
+    scene's colorization solves share one affinity graph, built when the
+    scene's pass starts and dropped when it ends.  A failed cell, or a cell
+    whose mask or evaluation failed, records the error message and the run
+    continues.  A cell's ``time_ms`` is the mask's sampling time and the
+    evaluation's time (the graph's build included), each charged to the first
+    cell in canonical order that uses it, so the cells' times add up to the
+    run's work.  With ``cfg.workers`` > 1 the masks, and each scene's
+    evaluations, run in a thread pool; results are ordered by cell identity,
+    not completion, so reports do not depend on scheduling.
     """
     if scene_names is None:
         scene_names = [f"{i:03d}" for i in range(len(scenes))]
@@ -318,31 +390,60 @@ def run_matrix(scenes: list[SyntheticScene], cfg: ExperimentConfig,
 
     def make_mask(i):
         sampler, si, n, seed = plans[i][0]
-        return sample(sampler, scenes[si].rgb, n, seed, cfg.m, cfg.slic_iters)[0]
+        return sample(sampler, scenes[si].rgb, n, seed, cfg.m, cfg.slic_iters).mask
 
-    def run_cell(i):
-        si, sampler, recon, rate, seed = cells[i]
-        row = CellResult(scene_names[si], sampler, recon, rate, seed)
+    def mask_of(i):  # (mask, error, seconds charged to cell i)
         args, error, seconds = plans[i]
-        if not error:
-            key = _mask_key(*args)
-            mask, error, sample_s = masks[key]
-            seconds += sample_s if first[key] == i else 0.0
         if error:
-            row.error = error
-        else:
-            row.samples = mask.count
-            scores, row.error, score_s = _attempt(_evaluate_mask, mask, scenes[si], labs[si],
-                                                  recon, cfg)
-            seconds += score_s
-            if scores is not None:
-                row.mae_mm, row.rmse_mm, row.converged = scores
-        row.time_ms = seconds * 1000.0
-        return row
+            return None, error, seconds
+        key = _mask_key(*args)
+        mask, error, sample_s = masks[key]
+        return mask, error, seconds + (sample_s if first[key] == i else 0.0)
+
+    def evaluation(i, mask):
+        return cells[i][0], _evaluation_key(cells[i][2], mask)
+
+    def score_scene(si):
+        """Scores of the scene's distinct evaluations, by the index of the
+        first cell in canonical order that uses each."""
+        todo = [i for (sj, _), i in owner.items() if sj == si]
+        # Built on a pool thread like the solves: built on this one, it added
+        # 4-6 MB to a two-worker run's peak RSS (allocator arenas).  A graph
+        # that fails to build is None, and each solve then fails on its own.
+        (graph, _, build_s), = each(lambda recons: _attempt(_scene_graph, labs[si], recons, cfg),
+                                    [{cells[i][2] for i in todo}])
+        scores = dict(zip(todo, each(lambda i: _attempt(
+            _evaluate_mask, made[i][0], scenes[si], labs[si], cells[i][2], cfg, graph), todo)))
+        builder = next((i for i in todo if cells[i][2] == "colorization"), None)
+        if builder is not None:
+            result, error, seconds = scores[builder]
+            scores[builder] = result, error, seconds + build_s
+        return scores
 
     with _mapper(cfg.workers) as each:
         masks = dict(zip(first, each(lambda i: _attempt(make_mask, i), first.values())))
-        rows = list(each(run_cell, range(len(cells))))
+        made = [mask_of(i) for i in range(len(cells))]
+        owner = {}  # (scene, evaluation key) -> first cell, in canonical order, that uses it
+        for i, (mask, error, _) in enumerate(made):
+            if not error:
+                owner.setdefault(evaluation(i, mask), i)
+        scores = {}
+        for si in range(len(scenes)):
+            scores.update(score_scene(si))
+
+    rows = []
+    for i, (si, sampler, recon, rate, seed) in enumerate(cells):
+        row = CellResult(scene_names[si], sampler, recon, rate, seed)
+        mask, row.error, seconds = made[i]
+        if not row.error:
+            row.samples = mask.count
+            first_use = owner[evaluation(i, mask)]
+            result, row.error, score_s = scores[first_use]
+            seconds += score_s if first_use == i else 0.0
+            if result is not None:
+                row.mae_mm, row.rmse_mm, row.converged = result
+        row.time_ms = seconds * 1000.0
+        rows.append(row)
     return EvalReport(rows)
 
 
@@ -372,27 +473,37 @@ def temporal_experiment(frames: list[SyntheticScene], delta_ts: tuple[int, ...],
     measured and evaluated on the current frame.  Baselines are content
     independent, so their masks are seeded by the current frame index and
     staleness cannot affect them.  Frames before max(delta_ts) are skipped so
-    every delay is averaged over the same evaluation frames.  Each distinct
-    mask is sampled once per call and shared (``_shared_sample``).
+    every delay is averaged over the same evaluation frames.  The delays must
+    be distinct and at least 0.  Each distinct mask is sampled once per call
+    and shared (``_shared_sample``).  Frames are evaluated one at a time,
+    each distinct (reconstructor, mask) once per frame, with one affinity
+    graph per frame (``_score_scene``); each row then averages its frames
+    in frame order.
     """
     if not frames:
         raise ValueError("temporal experiment needs at least one frame")
+    if not delta_ts:
+        raise ValueError("temporal experiment needs at least one delay")
+    for dt in delta_ts:
+        if dt < 0:
+            raise ValueError(f"mask delay must be non-negative, got {dt}")
+    _check_distinct("delays", delta_ts)
     start = max(delta_ts)
     if start >= len(frames):
         raise ValueError(f"sequence of {len(frames)} frames is too short for delay {start}")
     labs = [rgb_to_lab(f.rgb) for f in frames]
     h, w = frames[0].depth.height, frames[0].depth.width
     sample_frame = _shared_sample([f.rgb for f in frames], cfg)
+    cells = list(_cells(delta_ts, cfg))
 
-    rows = []
-    for dt, sampler, recon, rate, seed in _cells(delta_ts, cfg):
-        n = target_count(rate, h, w)
-        results = []
-        for t in range(start, len(frames)):
-            mask = sample_frame(sampler, t - dt, n, _cell_seed(seed, t))[0]
-            results.append(_evaluate_mask(mask, frames[t], labs[t], recon, cfg))
-        rows.append(_trend_row("delta_t", dt, sampler, recon, rate, seed, results))
-    return rows
+    def jobs(t):
+        return [(recon, sample_frame(sampler, t - dt, target_count(rate, h, w),
+                                     _cell_seed(seed, t)).mask)
+                for dt, sampler, recon, rate, seed in cells]
+
+    scores = [_score_scene(frames[t], labs[t], jobs(t), cfg) for t in range(start, len(frames))]
+    return [_trend_row("delta_t", dt, sampler, recon, rate, seed, [frame[c] for frame in scores])
+            for c, (dt, sampler, recon, rate, seed) in enumerate(cells)]
 
 
 JITTER_COLUMNS = ["jitter_px", "sampler", "reconstructor", "rate", "seed",
@@ -405,27 +516,35 @@ def jitter_experiment(scenes: list[SyntheticScene], ranges: tuple[float, ...],
 
     Perturbed locations are clipped to the image and rasterized with
     collision resolution, so the sample budget is preserved.  Range 0 draws
-    zero noise and reproduces the unperturbed result bit for bit.  Each
-    distinct set of locations is sampled once per call and shared by every
-    range (``_shared_sample``).
+    zero noise and reproduces the unperturbed result bit for bit.  The
+    ranges must be distinct and at least 0.  Each distinct set of locations
+    is sampled once per call and shared by every range (``_shared_sample``).
+    Scenes are evaluated one at a time, each distinct (reconstructor, mask)
+    once per scene, with one affinity graph per scene (``_score_scene``), so
+    range 0 solves an unseeded sampler's mask once for every seed; each row
+    then averages its scenes in scene order.
     """
     for k in ranges:
         if k < 0:
             raise ValueError(f"jitter range must be non-negative, got {k}")
+    _check_distinct("jitter ranges", ranges)
     labs = [rgb_to_lab(s.rgb) for s in scenes]
     sample_scene = _shared_sample([s.rgb for s in scenes], cfg)
-    rows = []
-    for k, sampler, recon, rate, seed in _cells(ranges, cfg):
-        results = []
-        for si, scene in enumerate(scenes):
-            h, w = scene.depth.height, scene.depth.width
+    cells = list(_cells(ranges, cfg))
+
+    def jobs(si, h, w):
+        out = []
+        for k, sampler, recon, rate, seed in cells:
             n = target_count(rate, h, w)
-            locs = sample_scene(sampler, si, n, _cell_seed(seed, si))[1]
+            locs = sample_scene(sampler, si, n, _cell_seed(seed, si)).locations
             rng = np.random.default_rng(np.random.SeedSequence([seed, si, 7]))
             moved = locs.locations + rng.uniform(-k, k, size=(n, 2))
             moved[:, 0] = np.clip(moved[:, 0], 0, w - 1)
             moved[:, 1] = np.clip(moved[:, 1], 0, h - 1)
-            mask = locations_to_mask(SampleSet(moved), h, w)
-            results.append(_evaluate_mask(mask, scene, labs[si], recon, cfg))
-        rows.append(_trend_row("jitter_px", k, sampler, recon, rate, seed, results))
-    return rows
+            out.append((recon, locations_to_mask(SampleSet(moved), h, w)))
+        return out
+
+    scores = [_score_scene(scene, labs[si], jobs(si, scene.depth.height, scene.depth.width), cfg)
+              for si, scene in enumerate(scenes)]
+    return [_trend_row("jitter_px", k, sampler, recon, rate, seed, [scene[c] for scene in scores])
+            for c, (k, sampler, recon, rate, seed) in enumerate(cells)]

@@ -50,12 +50,14 @@ class AffinityGraph:
     keeps the unnormalized Gaussian row sums so the symmetric Laplacian can
     be recovered (raw = diag(degrees) @ weights).  A row whose degree is
     below the smallest normal float is all zero: its affinities underflowed.
+    ``sigma_c`` is the color bandwidth the graph was built with.
     """
 
     weights: sp.csr_matrix
     degrees: np.ndarray
     height: int
     width: int
+    sigma_c: float
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ def build_affinity(lab: LabImage, sigma_c: float = 10.0) -> AffinityGraph:
     degrees = np.asarray(raw.sum(axis=1)).ravel()
     inv = np.divide(1.0, degrees, out=np.zeros_like(degrees), where=degrees >= _MIN_DEGREE)
     normalized = sp.diags(inv) @ raw
-    return AffinityGraph(normalized.tocsr(), degrees, h, w)
+    return AffinityGraph(normalized.tocsr(), degrees, h, w, sigma_c)
 
 
 def _jacobi_cg(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
@@ -215,7 +217,8 @@ def nn_reconstruct(sparse_depth: DepthMap) -> DepthMap:
 
 
 def colorization_reconstruct(lab: LabImage, sparse_depth: DepthMap,
-                             cfg: SolverConfig = SolverConfig()) -> ColorizationResult:
+                             cfg: SolverConfig = SolverConfig(),
+                             graph: AffinityGraph | None = None) -> ColorizationResult:
     """Propagate sparse depth through color affinities to a dense map.
 
     Solves d_i = sum_j w_ij d_j at every unknown pixel with sampled pixels
@@ -229,9 +232,19 @@ def colorization_reconstruct(lab: LabImage, sparse_depth: DepthMap,
     smallest normal float) has no equation of its own; it takes its
     nearest-sample value and is held fixed like a sample while the rest is
     solved.
+
+    ``graph``, when given, is ``build_affinity(lab, cfg.sigma_c)``, so that
+    solves on one image can share it; the result is bit-identical to that
+    of ``graph=None``, which builds it here.  A graph of another size or
+    ``sigma_c`` raises ValueError.
     """
     if (lab.height, lab.width) != (sparse_depth.height, sparse_depth.width):
         raise ValueError("image and depth dimensions differ")
+    if graph is not None and ((graph.height, graph.width, graph.sigma_c)
+                              != (lab.height, lab.width, cfg.sigma_c)):
+        raise ValueError(f"affinity graph of {graph.height}x{graph.width} at sigma_c "
+                         f"{graph.sigma_c} does not fit a {lab.height}x{lab.width} image "
+                         f"at sigma_c {cfg.sigma_c}")
     constrained = sparse_depth.valid.ravel()
     if not constrained.any():
         raise ValueError("cannot reconstruct from a depth map with no valid samples")
@@ -239,7 +252,8 @@ def colorization_reconstruct(lab: LabImage, sparse_depth: DepthMap,
     if constrained.all():
         return ColorizationResult(sparse_depth, True, 0, 0.0)
 
-    graph = build_affinity(lab, cfg.sigma_c)
+    if graph is None:
+        graph = build_affinity(lab, cfg.sigma_c)
     raw = sp.diags(graph.degrees) @ graph.weights   # symmetric Gaussian kernel
     lap = sp.diags(graph.degrees) - raw
     full = np.where(constrained, sparse_depth.depth.ravel(),

@@ -118,6 +118,23 @@ def test_ssa_refined_samples_with_depth_feedback(scene_files, tmp_path):
     assert load_mask(out).count == target_count(0.05, 16, 20)
 
 
+def test_ssa_refined_rasterises_only_the_refined_locations(scene_files, tmp_path, monkeypatch):
+    _, rgb, depth = scene_files
+    calls = []
+    original = evaluate.locations_to_mask
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (evaluate, importlib.import_module("depthsample.cli")):
+        monkeypatch.setattr(module, "locations_to_mask", counted)
+    code = cli(["sample", "--method", "ssa-refined", "--rate", "0.05", "--refine-steps", "3",
+                "--in", str(rgb), "--gt", str(depth), "--out", str(tmp_path / "mask.pgm")])
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_reconstruct_nearest_round_trip(scene_files, tmp_path):
     scene, rgb, depth = scene_files
     sparse_path = tmp_path / "sparse.pgm"
@@ -192,6 +209,9 @@ def test_gen_scenes_writes_pairs_and_validates_kinds(tmp_path, capsys):
     assert cli(["gen-scenes", "--out", str(never), "--kinds", "planar-ramp,fractal"]) == 1
     assert "unknown name 'fractal'" in capsys.readouterr().err
     assert not never.exists()  # rejected before the output directory is made
+    # a repeated kind is allowed: the list sets the order in which kinds cycle
+    assert cli(["gen-scenes", "--out", str(tmp_path / "cycled"), "--count", "3",
+                "--kinds", "textured,textured,step-edge", "--height", "8", "--width", "8"]) == 0
 
 
 def test_pipeline_csv_header_and_reproducibility(tmp_path, capsys):
@@ -342,6 +362,11 @@ def test_pipeline_exits_2_when_a_shared_mask_fails(tmp_path, capsys, monkeypatch
     (["gen-scenes", "--count", "0"], "need at least one scene, got 0"),
     (["gen-scenes", "--height", "0"], "scene sides must be at least 4 pixels, got 0"),
     (["gen-scenes", "--width", "3"], "scene sides must be at least 4 pixels, got 3"),
+    (["pipeline", "--method", "sps,sps", "--seeds", "0,0"], "sps is listed twice in sps,sps"),
+    (["pipeline", "--recon", "nearest,colorization,nearest"],
+     "nearest is listed twice in nearest,colorization,nearest"),
+    (["pipeline", "--rate", "0.01,0.010"], "0.01 is listed twice in 0.01,0.010"),
+    (["pipeline", "--seeds", "0,0"], "0 is listed twice in 0,0"),
 ])
 def test_bad_configuration_is_a_usage_error_before_any_file_is_read(argv, reason, tmp_path,
                                                                      capsys):
@@ -360,6 +385,7 @@ def test_bad_configuration_is_a_usage_error_before_any_file_is_read(argv, reason
     ("tol = -1", "config key tol: solver tolerance must be finite and positive, got -1"),
     ("max_iters = -5", "config key max_iters: solver iteration cap must be at least 0, got -5"),
     ("seeds = 0,-1", "config key seeds: seed must be at least 0, got -1"),
+    ("seeds = 1,2,1", "config key seeds: 1 is listed twice in 1,2,1"),
 ])
 def test_bad_configuration_from_a_config_file_is_a_usage_error(line, reason, tmp_path, capsys):
     cfg = tmp_path / "pipeline.cfg"

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from depthsample import evaluate
+from depthsample import evaluate, reconstruct
 from depthsample.evaluate import (
     AGGREGATE_COLUMNS,
     CELL_COLUMNS,
@@ -120,6 +120,16 @@ def test_full_sampling_with_solver_reproduces_ground_truth():
 def test_experiment_config_rejects_a_bad_solver_field_when_made(field, bad):
     with pytest.raises(ValueError, match=field):
         ExperimentConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("field, values", [
+    ("samplers", ("sps", "grid", "sps")), ("reconstructors", ("nearest", "nearest")),
+    ("rates", (0.01, 0.0100)), ("seeds", (0, 1, 0)),
+])
+def test_experiment_config_rejects_a_repeated_axis_entry(field, values):
+    # a repeated entry would evaluate and report the same cells twice
+    with pytest.raises(ValueError, match=f"{field} lists .* twice"):
+        ExperimentConfig(**{field: values})
 
 
 def test_failed_cell_is_recorded_and_run_continues():
@@ -234,6 +244,21 @@ def test_temporal_rejects_sequences_shorter_than_the_delay():
         temporal_experiment([], (0,), cfg)
 
 
+@pytest.mark.parametrize("delays, reason", [
+    ((-1, 0), "mask delay must be non-negative, got -1"),
+    ((), "needs at least one delay"),
+    ((0, 2, 2), "delays lists 2 twice"),
+])
+def test_temporal_rejects_a_bad_delay_list_before_evaluating(monkeypatch, delays, reason):
+    frames = [gen_scene("textured", 8, 8, 0)] * 3
+    cfg = ExperimentConfig(samplers=("random",), reconstructors=("nearest",),
+                           rates=(0.05,), seeds=(0,))
+    calls = _count_sampling(monkeypatch)
+    with pytest.raises(ValueError, match=reason):
+        temporal_experiment(frames, delays, cfg)
+    assert calls == []
+
+
 def test_jitter_zero_reproduces_the_unjittered_matrix():
     scenes = [gen_scene("piecewise-constant", 16, 20, s) for s in (0, 1, 2)]
     cfg = ExperimentConfig(samplers=("grid", "sps"), reconstructors=("nearest",),
@@ -255,9 +280,33 @@ def test_jitter_perturbs_results_and_rejects_negative_ranges():
     assert rough["mae_mm"] != calm["mae_mm"]
     with pytest.raises(ValueError):
         jitter_experiment(scenes, (-1.0,), cfg)
+    with pytest.raises(ValueError, match="jitter ranges lists 2.0 twice"):
+        jitter_experiment(scenes, (0.0, 2.0, 2.0), cfg)
 
 
 # ------------------------------------------------------------ mask reuse
+
+
+def _count_calls(monkeypatch, module, name, delay_s=0.0):
+    """Rebind ``module.name`` to a wrapper that records each call's arguments
+    and sleeps ``delay_s`` first."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        time.sleep(delay_s)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _count_builds(monkeypatch):
+    """Count affinity builds, by the harness and inside colorization solves."""
+    calls = _count_calls(monkeypatch, evaluate, "build_affinity")
+    monkeypatch.setattr(reconstruct, "build_affinity", evaluate.build_affinity)
+    return calls
 
 
 def _count_sampling(monkeypatch, delay_s=0.0):
@@ -291,9 +340,15 @@ def test_matrix_samples_each_distinct_mask_once(monkeypatch, workers):
                            reconstructors=("colorization", "nearest", "bilateral"),
                            rates=(0.05,), seeds=(0, 1), workers=workers)
     calls = _count_sampling(monkeypatch)
+    solves = _count_calls(monkeypatch, evaluate, "colorization_reconstruct")
+    builds = _count_builds(monkeypatch)
     rows = run_matrix(scenes, cfg).rows
     # random and poisson once per scene and seed, grid and sps once per scene
     assert collections.Counter(calls) == {"random": 4, "poisson": 4, "grid": 2, "sps": 2}
+    # one solve per distinct mask of a scene, one graph per scene
+    assert len(solves) == 12
+    assert len({(id(args[0]), args[1].valid.tobytes()) for args, _ in solves}) == 12
+    assert [id(args[0]) for args, _ in builds] == [id(args[0]) for args, _ in solves[::6]]
     assert len(rows) == 48
     for row in rows:  # a shared mask scores exactly as a mask drawn for the cell alone
         si = int(row.scene)
@@ -364,3 +419,73 @@ def test_temporal_samples_sps_once_per_frame_it_reads(monkeypatch):
     assert len(rows) == 3 * 2 * 2
     read = {t - dt for dt in delays for t in range(max(delays), len(frames))}
     assert calls == ["sps"] * len(read)
+
+
+def test_matrix_charges_an_evaluation_to_the_first_cell_sharing_it(monkeypatch):
+    scenes = [gen_scene("piecewise-constant", 16, 20, s) for s in (0, 1)]
+    cfg = ExperimentConfig(samplers=("grid",), reconstructors=("colorization", "nearest"),
+                           rates=(0.05,), seeds=(0, 1))
+    _count_calls(monkeypatch, evaluate, "colorization_reconstruct", delay_s=0.5)
+    rows = run_matrix(scenes, cfg).rows
+    # per scene: (colorization, 0) solves; (colorization, 1) shares the grid mask's solve
+    charged = [r.time_ms >= 500.0 for r in rows]
+    assert charged == [True, False, False, False] * 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_shared_evaluation_fails_every_cell_that_shares_it(monkeypatch, workers):
+    scenes = [gen_scene("piecewise-constant", 16, 20, s) for s in (0, 1)]
+    cfg = ExperimentConfig(samplers=("random", "grid"),
+                           reconstructors=("colorization", "nearest"),
+                           rates=(0.05,), seeds=(0, 1), workers=workers)
+    healthy = run_matrix(scenes, cfg).rows
+    doomed = evaluate.sample("grid", scenes[1].rgb, 16, 0, cfg.m, cfg.slic_iters).mask.bits
+    attempts = []
+    original = evaluate.colorization_reconstruct
+
+    def flaky(lab, sparse, *args, **kwargs):
+        if np.array_equal(lab.values, rgb_to_lab(scenes[1].rgb).values) \
+                and np.array_equal(sparse.valid, doomed):
+            attempts.append(1)
+            raise RuntimeError("solver diverged")
+        return original(lab, sparse, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "colorization_reconstruct", flaky)
+    rows = run_matrix(scenes, cfg).rows
+    assert attempts == [1]
+    for row, ok in zip(rows, healthy):
+        if (row.scene, row.sampler, row.reconstructor) == ("001", "grid", "colorization"):
+            assert row.error == "RuntimeError: solver diverged"
+            assert row.samples == 16 and np.isnan(row.mae_mm)
+        else:
+            assert dataclasses.replace(row, time_ms=0.0) == dataclasses.replace(ok, time_ms=0.0)
+    assert sum(bool(r.error) for r in rows) == 2
+
+
+def test_jitter_solves_each_distinct_mask_of_a_scene_once(monkeypatch):
+    scenes = [gen_scene("piecewise-constant", 16, 20, s) for s in (0, 1)]
+    cfg = ExperimentConfig(samplers=("sps",), reconstructors=("colorization",),
+                           rates=(0.05,), seeds=(0, 1))
+    rasterised = _count_calls(monkeypatch, evaluate, "locations_to_mask")
+    solves = _count_calls(monkeypatch, evaluate, "colorization_reconstruct")
+    builds = _count_builds(monkeypatch)
+    rows = jitter_experiment(scenes, (0.0, 3.0), cfg)
+    # one jittered mask per (cell, scene), none for sps's own locations
+    assert len(rasterised) == 4 * 2
+    # per scene: range 0 gives both seeds the sps mask, range 3 moves it per seed
+    assert len(solves) == 3 * 2
+    assert len(builds) == 2
+    calm = [r for r in rows if r["jitter_px"] == 0.0]
+    assert calm[0]["rmse_mm"] == calm[1]["rmse_mm"]
+
+
+def test_temporal_solves_each_distinct_mask_of_a_frame_once(monkeypatch):
+    frames = [gen_scene("piecewise-constant", 16, 20, 3)] * 4
+    cfg = ExperimentConfig(samplers=("sps",), reconstructors=("colorization",),
+                           rates=(0.05,), seeds=(0,))
+    solves = _count_calls(monkeypatch, evaluate, "colorization_reconstruct")
+    builds = _count_builds(monkeypatch)
+    rows = temporal_experiment(frames, (0, 2), cfg)
+    # frames 2 and 3 are scored; on a static sequence both delays give one mask
+    assert len(solves) == 2 and len(builds) == 2
+    assert rows[0]["rmse_mm"] == rows[1]["rmse_mm"]

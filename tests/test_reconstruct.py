@@ -12,6 +12,7 @@ from depthsample.reconstruct import (
     colorization_reconstruct,
     nn_reconstruct,
 )
+from depthsample.scenes import gen_scene
 
 
 def _uniform_lab(h, w, value=128):
@@ -253,6 +254,35 @@ def test_pixels_whose_affinities_underflow_take_the_nearest_sample(sigma_c):
     assert np.array_equal(res.depth.depth[mask], depth[mask])
     nearest = nn_reconstruct(sparse).depth
     assert np.array_equal(res.depth.depth[isolated], nearest[isolated])
+
+
+@pytest.mark.parametrize("sigma_c", [2.0, 10.0])
+def test_a_shared_graph_solves_bit_identically(sigma_c):
+    """A graph built once for an image and passed in gives the solve that
+    builds its own, bit for bit; at sigma_c 2 some rows underflow."""
+    lab = rgb_to_lab(gen_scene("textured", 24, 32, 5).rgb)
+    rng = np.random.default_rng(6)
+    depth = rng.uniform(500, 20000, size=(24, 32))
+    sparse = _sparse(depth, rng.random((24, 32)) < 0.05)
+    cfg = SolverConfig(sigma_c=sigma_c)
+    graph = build_affinity(lab, sigma_c)
+    assert graph.sigma_c == sigma_c
+    alone = colorization_reconstruct(lab, sparse, cfg)
+    shared = colorization_reconstruct(lab, sparse, cfg, graph=graph)
+    assert alone.iterations > 0
+    assert np.array_equal(shared.depth.depth, alone.depth.depth)
+    assert (shared.converged, shared.iterations, shared.residual) == \
+        (alone.converged, alone.iterations, alone.residual)
+
+
+@pytest.mark.parametrize("graph_shape, graph_sigma", [((16, 12), 10.0), ((12, 15), 10.0),
+                                                      ((12, 16), 5.0)])
+def test_a_graph_that_does_not_fit_is_rejected(graph_shape, graph_sigma):
+    lab = _random_lab(12, 16, 3)
+    sparse = _sparse(np.full((12, 16), 1000.0), np.eye(12, 16, dtype=bool))
+    graph = build_affinity(_random_lab(*graph_shape, 3), graph_sigma)
+    with pytest.raises(ValueError, match="does not fit"):
+        colorization_reconstruct(lab, sparse, SolverConfig(sigma_c=10.0), graph=graph)
 
 
 # ---------------------------------------------------------------- nearest
