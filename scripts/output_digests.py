@@ -12,7 +12,9 @@ once serial and once with ``--workers 2``; Poisson-disk masks and radii at
 120x160 with 48 samples for seeds 0-9;
 ``sample`` masks, ``--samples-out`` and ``--seg-out`` for every method, with
 ``ssa-refined`` at 1, 20 and 200 refinement steps, ``sps`` also at
-``--m 0`` and ``--m 10`` and ``grid`` also at ``--rate 0.5`` on scene ``000``;
+``--m 0`` and ``--m 10``, ``grid`` also at ``--rate 0.5`` on scene ``000``
+and ``ssa-refined`` also at ``--window 3`` and ``--window 7`` on the
+``textured`` scene ``003``;
 the soft association (weights and seed ids) and ``slic_loss`` of the ``sps``
 segmentation of each of those three scenes; ``sps`` and ``grid`` on a 6x90
 strip with 3 samples, where the first SLIC sweep leaves pixels outside every
@@ -88,6 +90,9 @@ def main(out: Path) -> None:
                  for steps in (1, 20, 200)]
         if stem == "000":  # dense and tie-heavy
             runs.append(("grid-rate0.5", "grid", ["--rate", "0.5"]))
+        if stem == "003":  # soft windows all inside and fully valid at 3, clipped at 7
+            runs += [(f"ssa-refined-window{w}", "ssa-refined", ["--gt", gt, "--window", w])
+                     for w in ("3", "7")]
         for name, method, extra in runs:
             name = f"{stem}-{name}"
             if method in ("sps", "ssa-refined"):

@@ -110,6 +110,7 @@ _step = _checked(float, lambda v: np.isfinite(v) and v > 0,
 _compactness = _checked(float, lambda v: np.isfinite(v) and v >= 0,
                         "compactness m must be finite and at least 0")
 _sweeps = _checked(int, lambda v: v >= 0, "superpixel sweeps must be at least 0")
+_temperature = _checked(float, np.isfinite, "temperature must be finite")
 _lr = _finite_positive("learning rate")
 _sigma_c = _finite_positive("color bandwidth sigma_c")
 _sigma_s = _finite_positive("spatial sigma sigma_s")
@@ -394,8 +395,10 @@ def _build_parser():
     _opt(p, reg, "--m", _compactness, 1.0, "superpixel compactness weight, finite and at least 0")
     _opt(p, reg, "--iters", _sweeps, 10, "superpixel refinement sweeps, at least 0")
     _opt(p, reg, "--window", int, 5, "soft-sampling window size")
-    _opt(p, reg, "--t-start", float, 1.0, "annealing start temperature")
-    _opt(p, reg, "--t-end", float, 0.1, "annealing end temperature")
+    _opt(p, reg, "--t-start", _temperature, 1.0,
+         "annealing start temperature, finite and at least --t-end")
+    _opt(p, reg, "--t-end", _temperature, 0.1,
+         "annealing end temperature, finite, above 0 and at most --t-start")
     _opt(p, reg, "--refine-steps", _refine_steps, 200, "gradient steps for ssa-refined, at least 0")
     _opt(p, reg, "--lr", _lr, 1e-5, "learning rate for ssa-refined, finite and above 0")
 
@@ -442,8 +445,10 @@ def _build_parser():
     _opt(p, reg, "--cases", _cases, 1000, "number of randomized cases, at least 1")
     _opt(p, reg, "--window", int, 5, "soft-sampling window size")
     _opt(p, reg, "--seed", _seed, 0, "random seed, at least 0")
-    _opt(p, reg, "--t-min", float, 0.2, "low end of the temperature range, above 0")
-    _opt(p, reg, "--t-max", float, 2.0, "high end of the temperature range")
+    _opt(p, reg, "--t-min", _temperature, 0.2,
+         "low end of the temperature range, finite and above 0")
+    _opt(p, reg, "--t-max", _temperature, 2.0,
+         "high end of the temperature range, finite and at least --t-min")
     _opt(p, reg, "--step", _step, 1e-4, "finite-difference step in pixels, finite and above 0")
     _opt(p, reg, "--tolerance", _tolerance, 1e-4,
          "maximum allowed relative error, finite and above 0")

@@ -106,12 +106,18 @@ def _bridson(height: int, width: int, radius: float, rng: np.random.Generator,
 
     Standard Bridson dart throwing: keep an active list, propose up to 30
     candidates in the [r, 2r] annulus around a random active point, snap each
-    candidate to its nearest pixel, and accept it if no kept point lies closer
-    than ``radius``.  That test is one lookup in an exclusion raster: each
-    kept point stamps the disc of pixels with d^2 < r^2 around it, and the
-    raster is padded by the disc's reach so stamps need no clipping.
-    Generation halts early once ``stop_at`` points exist (the bisection
-    probes only need feasibility).  ``math.ceil(v - 0.5)`` is
+    candidate to its nearest pixel, and accept the first that no kept point
+    lies closer to than ``radius``.  That test is one lookup in an exclusion
+    raster: each kept point stamps the disc of pixels with d^2 < r^2 around
+    it, and the raster is padded by the disc's reach so stamps need no
+    clipping.  Generation halts early once ``stop_at`` points exist (the
+    bisection probes only need feasibility).
+
+    The 30 candidates are drawn and tested at once, the same numbers as
+    drawing (rho, theta) per attempt with ``rng.uniform``.  After a hit at
+    attempt k the generator is rewound to the 2 (k + 1) doubles that
+    attempt-by-attempt drawing consumes, so the stream, and with it every
+    set, matches one candidate at a time.  ``math.ceil(v - 0.5)`` is
     ``nearest_pixel`` on a scalar.
     """
     pad = math.ceil(radius)
@@ -132,20 +138,21 @@ def _bridson(height: int, width: int, radius: float, rng: np.random.Generator,
     while active and (stop_at is None or len(points) < stop_at):
         slot = int(rng.integers(len(active)))
         ax, ay = points[active[slot]]
-        placed = False
-        for _ in range(_BRIDSON_ATTEMPTS):
-            rho = rng.uniform(radius, 2 * radius)
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            px = math.ceil(ax + rho * math.cos(theta) - 0.5)
-            py = math.ceil(ay + rho * math.sin(theta) - 0.5)
-            if not (0 <= px < width and 0 <= py < height):
-                continue
-            if not blocked[py + pad, px + pad]:
-                push(px, py)
-                active.append(len(points) - 1)
-                placed = True
-                break
-        if not placed:
+        state = rng.bit_generator.state
+        u = rng.random(2 * _BRIDSON_ATTEMPTS)
+        rho = radius + (2 * radius - radius) * u[0::2]   # rng.uniform(radius, 2 * radius)
+        theta = 2.0 * math.pi * u[1::2]                  # rng.uniform(0.0, 2.0 * math.pi)
+        px = np.ceil(ax + rho * np.cos(theta) - 0.5).astype(np.int64)
+        py = np.ceil(ay + rho * np.sin(theta) - 0.5).astype(np.int64)
+        free = (0 <= px) & (px < width) & (0 <= py) & (py < height)
+        free[free] = ~blocked[py[free] + pad, px[free] + pad]
+        if free.any():
+            k = int(np.argmax(free))
+            rng.bit_generator.state = state
+            rng.random(2 * (k + 1))  # doubles leave the 32-bit buffer of rng.integers alone
+            push(int(px[k]), int(py[k]))
+            active.append(len(points) - 1)
+        else:
             # swap-pop keeps removal O(1) and fully deterministic
             active[slot] = active[-1]
             active.pop()

@@ -9,7 +9,7 @@ sampled value with respect to the location.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,11 @@ class SamplingError(ValueError):
     """No valid depth available in the sampling window."""
 
 
+def _check_temperature(t: float) -> None:
+    if not 0 < t < np.inf:  # NaN fails too
+        raise ValueError(f"temperature must be finite and positive, got {t}")
+
+
 @dataclass(frozen=True)
 class TemperatureSchedule:
     """Linear temperature ramp from ``t_start`` at step 0 to ``t_end`` at step ``steps``.
@@ -48,6 +53,9 @@ class TemperatureSchedule:
     t_end: float = 0.1
 
     def __post_init__(self):
+        if not (np.isfinite(self.t_start) and np.isfinite(self.t_end)):
+            raise ValueError(f"schedule temperatures must be finite, "
+                             f"got t_start={self.t_start}, t_end={self.t_end}")
         if self.t_end <= 0 or self.t_start < self.t_end:
             raise ValueError(
                 f"schedule must anneal downward through positive temperatures, "
@@ -71,8 +79,7 @@ class SsaConfig:
     def __post_init__(self):
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"window must be an odd size of at least 3, got {self.window}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        _check_temperature(self.temperature)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +103,14 @@ class SoftRead:
     valid: np.ndarray      # (n, k) pixel inside the image with a valid depth
 
 
+def _softmax(rho2: np.ndarray, t: float) -> np.ndarray:
+    """Weights proportional to exp(-rho2 / t^2) along the last axis."""
+    a = -rho2 / (t * t)
+    a -= a.max(axis=-1, keepdims=True)
+    w = np.exp(a)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
 def ssa_weights(location: np.ndarray, points: np.ndarray, t: float) -> np.ndarray:
     """Softmax blend weights for window pixels around continuous locations.
 
@@ -104,41 +119,111 @@ def ssa_weights(location: np.ndarray, points: np.ndarray, t: float) -> np.ndarra
     distance from the location to pixel i.  The maximum exponent is
     subtracted before exponentiation so tiny temperatures stay finite.
     """
-    if t <= 0:
-        raise ValueError(f"temperature must be positive, got {t}")
+    _check_temperature(t)
     loc = np.asarray(location, dtype=np.float64)[..., None, :]
-    rho2 = np.sum((loc - np.asarray(points, dtype=np.float64)) ** 2, axis=-1)
-    a = -rho2 / (t * t)
-    a -= a.max(axis=-1, keepdims=True)
-    w = np.exp(a)
-    return w / w.sum(axis=-1, keepdims=True)
+    return _softmax(np.sum((loc - np.asarray(points, dtype=np.float64)) ** 2, axis=-1), t)
 
 
-def _windows(d: DepthMap, locs: np.ndarray, window: int):
-    """The window of pixels centered on each location's nearest pixel.
-
-    Returns the (n, k, 2) pixels in row-major order, their (n, k) depths and
-    the (n, k) mask of those inside the image with a valid depth.  The first
-    location outside the image raises ValueError; the first whose window has
-    no valid depth, SamplingError.
-    """
-    x, y = locs[:, 0], locs[:, 1]
-    outside = ~((0 <= x) & (x <= d.width - 1) & (0 <= y) & (y <= d.height - 1))
-    center = nearest_pixel(np.where(outside[:, None], 0.0, locs))
+def _offsets(window: int) -> np.ndarray:
+    """The (k, 2) (dx, dy) offsets of a window's pixels from its center, row-major."""
     half = window // 2
     dy, dx = np.mgrid[-half:half + 1, -half:half + 1]
-    pixels = center[:, None, :] + np.column_stack([dx.ravel(), dy.ravel()])
-    px, py = pixels[..., 0], pixels[..., 1]
-    ok = (0 <= px) & (px < d.width) & (0 <= py) & (py < d.height)
-    px, py = np.where(ok, px, 0), np.where(ok, py, 0)
-    ok &= d.valid[py, px]
+    return np.column_stack([dx.ravel(), dy.ravel()])
+
+
+def _windows(d: DepthMap, locs: np.ndarray, offsets: np.ndarray):
+    """The window of pixels centered on each location's nearest pixel.
+
+    ``offsets`` is the window's :func:`_offsets`.  Returns the (n, k) x and y
+    of the pixels in row-major order, their (n, k) depths and the (n, k) mask
+    of those inside the image with a valid depth.  Depths are read at flat
+    indices, which need no clipping when every location lies at least half a
+    window inside the image.  The first location outside the image raises
+    ValueError; the first whose window has no valid depth, SamplingError.
+    """
+    h, w = d.height, d.width
+    half = int(offsets[-1, 0])
+    inside = False
+    if len(locs):  # NaN fails every test below
+        (lx, ly), (hx, hy) = locs.min(axis=0), locs.max(axis=0)
+        inside = half <= lx and half <= ly and hx <= w - 1 - half and hy <= h - 1 - half
+    if inside:
+        outside = np.zeros(len(locs), dtype=bool)
+        center = nearest_pixel(locs)
+    else:
+        x, y = locs[:, 0], locs[:, 1]
+        outside = ~((0 <= x) & (x <= w - 1) & (0 <= y) & (y <= h - 1))
+        center = nearest_pixel(np.where(outside[:, None], 0.0, locs))
+    px, py = center[:, :1] + offsets[:, 0], center[:, 1:] + offsets[:, 1]
+    if inside:
+        flat = py * w + px
+        ok = d.valid.ravel()[flat]
+    else:
+        ok = (0 <= px) & (px < w) & (0 <= py) & (py < h)
+        flat = np.where(ok, py * w + px, 0)
+        ok &= d.valid.ravel()[flat]
+    depths = d.depth.ravel()[flat]
+    if ok.all():
+        return px, py, depths, ok
     bad = outside | ~ok.any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         if outside[i]:
-            raise ValueError(f"location ({x[i]}, {y[i]}) outside a {d.height}x{d.width} image")
+            raise ValueError(f"location ({locs[i, 0]}, {locs[i, 1]}) outside a {h}x{w} image")
+        window = 2 * half + 1
         raise SamplingError(f"no valid depth in the {window}x{window} window at {locs[i]}")
-    return pixels, np.where(ok, d.depth[py, px], 0.0), ok
+    return px, py, np.where(ok, depths, 0.0), ok
+
+
+def _blend(locs: np.ndarray, px: np.ndarray, py: np.ndarray, depths: np.ndarray, t: float):
+    """Soft values, gradients and weights at m locations, each over its k pixels.
+
+    ``px``, ``py`` and ``depths`` are (m, k).  The gradient is the exact
+    derivative of the blended value with respect to the location, from
+    differentiating the softmax of -rho^2 / t^2:
+
+        dk_i/dl = k_i * (-2 (l - w_i) / t^2 + 2 sum_j k_j (l - w_j) / t^2)
+    """
+    dx, dy = locs[:, :1] - px, locs[:, 1:] - py           # l - w_i, per axis
+    w = _softmax(dx * dx + dy * dy, t)
+    row = w[:, None, :]                                    # (m, 1, k)
+    values = (row @ depths[..., None])[:, 0, 0]
+    c = 2.0 / (t * t)
+    dxc, dyc = dx * c, dy * c                              # 2 (l - w_i) / t^2
+    # sum_j k_j * 2 (l - w_j) / t^2, as (m, 1) per axis
+    mx, my = (row @ np.stack((dxc, dyc), axis=-1)).transpose(2, 0, 1)
+    dw = np.stack((w * (mx - dxc), w * (my - dyc)), axis=-1)
+    gradients = (depths[:, None, :] @ dw)[:, 0]
+    return values, gradients, w
+
+
+def _soft_read(d: DepthMap, locs: np.ndarray, offsets: np.ndarray, t: float,
+               weights: np.ndarray | None = None):
+    """Values and gradients at (n, 2) locations, plus their windows from :func:`_windows`.
+
+    When every window is inside the image and fully valid, all locations are
+    blended together as they are.  Otherwise locations with equally many
+    valid window pixels are blended together over just those pixels, so every
+    sum is reduced as for a single location.  A given (n, k) ``weights``
+    array receives the blend weights at the valid pixels.
+    """
+    px, py, depths, ok = _windows(d, locs, offsets)
+    if ok.all():
+        values, gradients, w = _blend(locs, px, py, depths, t)
+        if weights is not None:
+            weights[...] = w
+        return values, gradients, px, py, ok
+    values, gradients = np.empty(len(ok)), np.empty((len(ok), 2))
+    counts = ok.sum(axis=1)
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        keep = ok[rows]
+        values[rows], gradients[rows], w = _blend(
+            locs[rows], *(a[rows][keep].reshape(-1, k) for a in (px, py, depths)), t)
+        if weights is not None:
+            i, j = np.nonzero(keep)
+            weights[rows[i], j] = w.ravel()
+    return values, gradients, px, py, ok
 
 
 def ssa_read(d: DepthMap, locations: np.ndarray, cfg: SsaConfig = SsaConfig()) -> SoftRead:
@@ -147,31 +232,13 @@ def ssa_read(d: DepthMap, locations: np.ndarray, cfg: SsaConfig = SsaConfig()) -
     Each window (cfg.window, clipped at image borders) is centered on the
     nearest pixel; weights are renormalized over the valid pixels inside it.
     The gradient is the exact derivative of the blended value with respect to
-    the location, from differentiating the softmax of -rho^2 / t^2:
-
-        dk_i/dl = k_i * (-2 (l - w_i) / t^2 + 2 sum_j k_j (l - w_j) / t^2)
-
-    Locations with equally many valid window pixels are read together over
-    just those pixels, so every sum is reduced as for a single location.
+    the location (see :func:`_blend`).
     """
     locs = np.asarray(locations, dtype=np.float64).reshape(-1, 2)
-    pixels, depths, ok = _windows(d, locs, cfg.window)
-    t = cfg.temperature
-    values, gradients, weights = np.empty(len(ok)), np.empty((len(ok), 2)), np.zeros(ok.shape)
-    counts = ok.sum(axis=1)
-    for k in np.unique(counts):
-        rows = np.flatnonzero(counts == k)
-        keep = ok[rows]
-        pts, dep = pixels[rows][keep].reshape(-1, k, 2), depths[rows][keep].reshape(-1, k)
-        w = ssa_weights(locs[rows], pts, t)
-        row = w[:, None, :]                                    # (m, 1, k)
-        values[rows] = (row @ dep[..., None])[:, 0, 0]
-        diff = (locs[rows, None, :] - pts) * (2.0 / (t * t))   # rows: 2 (l - w_i) / t^2
-        mean_diff = row @ diff                                 # sum_j k_j * 2 (l - w_j) / t^2
-        gradients[rows] = (dep[:, None, :] @ (w[..., None] * (mean_diff - diff)))[:, 0]
-        i, j = np.nonzero(keep)
-        weights[rows[i], j] = w.ravel()
-    return SoftRead(values, gradients, weights, pixels, ok)
+    weights = np.zeros((len(locs), cfg.window * cfg.window))
+    values, gradients, px, py, ok = _soft_read(d, locs, _offsets(cfg.window),
+                                               cfg.temperature, weights)
+    return SoftRead(values, gradients, weights, np.stack((px, py), axis=-1), ok)
 
 
 def ssa_sample(d: DepthMap, location: np.ndarray, cfg: SsaConfig = SsaConfig()) -> SoftSample:
@@ -230,12 +297,12 @@ def hard_sample(d: DepthMap, location: np.ndarray, window: int = 5):
     the window is used instead; with none valid a SamplingError is raised.
     """
     loc = np.asarray(location, dtype=np.float64)
-    pixels, depths, ok = _windows(d, loc[None], window)
+    px, py, depths, ok = (a[0] for a in _windows(d, loc[None], _offsets(window)))
     best = window * window // 2  # the window center is the nearest pixel
-    if not ok[0, best]:
+    if not ok[best]:
         # argmin keeps the first of equal distances, the smallest (y, x) in row-major order
-        best = int(np.argmin(np.where(ok[0], np.sum((pixels[0] - loc) ** 2, axis=1), np.inf)))
-    return (int(pixels[0, best, 0]), int(pixels[0, best, 1])), float(depths[0, best])
+        best = int(np.argmin(np.where(ok, (px - loc[0]) ** 2 + (py - loc[1]) ** 2, np.inf)))
+    return (int(px[best]), int(py[best])), float(depths[best])
 
 
 def finite_difference_gradient(d: DepthMap, location: np.ndarray,
@@ -261,6 +328,8 @@ def gradient_check(cases: int = 1000, window: int = 5, seed: int = 0,
     the 0.01 mm/px floor keeps the ratio meaningful when cold temperatures
     drive the true gradient below the cancellation noise of the differences.
     """
+    if not 0 < t_range[0] <= t_range[1] < np.inf:  # NaN fails too
+        raise ValueError(f"temperature range must satisfy 0 < low <= high < inf, got {t_range}")
     rng = np.random.default_rng(seed)
     size = 2 * window + 3
     worst = 0.0
@@ -309,13 +378,16 @@ def refine_locations(d: DepthMap, samples: SampleSet, targets: np.ndarray,
     targets = np.asarray(targets, dtype=np.float64).ravel()
     if len(targets) != len(samples):
         raise ValueError(f"{len(targets)} targets for {len(samples)} samples")
+    offsets, bounds = _offsets(cfg.window), (d.width - 1, d.height - 1)
     locs = samples.locations.copy()
     losses = []
     best_loss, best_locs = np.inf, locs.copy()
     streak = 0  # consecutive steps on which the loss rose
     for step in range(steps):
-        read = ssa_read(d, locs, replace(cfg, temperature=cfg.schedule.at(step, steps - 1)))
-        err = read.values - targets
+        t = cfg.schedule.at(step, steps - 1)
+        _check_temperature(t)
+        values, gradients = _soft_read(d, locs, offsets, t)[:2]
+        err = values - targets
         total = np.cumsum(np.append(0.0, err * err))[-1]  # a running total in sample order
         losses.append(total)
         if total < best_loss:
@@ -323,9 +395,8 @@ def refine_locations(d: DepthMap, samples: SampleSet, targets: np.ndarray,
         streak = streak + 1 if len(losses) >= 2 and total > losses[-2] else 0
         if streak >= 10:
             break
-        locs -= lr * (2.0 * err[:, None] * read.gradients)
-        locs[:, 0] = np.clip(locs[:, 0], 0, d.width - 1)
-        locs[:, 1] = np.clip(locs[:, 1], 0, d.height - 1)
+        locs -= lr * (2.0 * err[:, None] * gradients)
+        np.clip(locs, 0, bounds, out=locs)
     diverged = streak >= 10
     final = best_locs if diverged else locs
     return RefineResult(SampleSet(final), np.array(losses), diverged)

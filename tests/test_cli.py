@@ -377,6 +377,28 @@ def test_bad_configuration_is_a_usage_error_before_any_file_is_read(argv, reason
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--t-start", "nan"), ("--t-start", "inf"), ("--t-end", "nan"), ("--t-end", "-inf"),
+])
+def test_non_finite_annealing_temperature_is_a_usage_error_before_any_file_is_read(
+        option, value, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli(["sample", "--method", "ssa-refined", "--rate", "0.05",
+                "--gt", str(tmp_path / "missing.pgm"), "--in", str(tmp_path / "missing.ppm"),
+                "--out", str(out), f"{option}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and f"temperature must be finite, got {value}" in err
+    assert not out.exists()
+
+
+def test_non_finite_temperature_in_a_config_file_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "sample.cfg"
+    cfg.write_text(f"method = ssa-refined\nrate = 0.05\ngt = {tmp_path / 'missing.pgm'}\n"
+                   f"in = {tmp_path / 'missing.ppm'}\nout = {tmp_path / 'out'}\nt_start = nan\n")
+    assert cli(["sample", "--config", str(cfg)]) == 1
+    assert "config key t_start: temperature must be finite, got nan" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line, reason", [
     ("rate = 2", "config key rate: sampling rate must be in (0, 1], got 2"),
     ("workers = 0", "config key workers: need at least one worker, got 0"),
@@ -436,6 +458,17 @@ def test_grad_check_bad_options_are_usage_errors(argv, reason, capsys):
     assert cli(["grad-check", "--cases", "5"] + argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error:") and reason in captured.err
+    assert captured.out == ""  # no case was run
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--t-max", "inf"), ("--t-max", "nan"), ("--t-min", "nan"), ("--t-min", "-inf"),
+])
+def test_grad_check_non_finite_temperature_is_a_usage_error(option, value, capsys):
+    assert cli(["grad-check", "--cases", "5", f"{option}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:")
+    assert f"temperature must be finite, got {value}" in captured.err
     assert captured.out == ""  # no case was run
 
 

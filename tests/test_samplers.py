@@ -1,12 +1,15 @@
 """Baseline mask generators: exact budgets, determinism, spacing."""
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+from depthsample import samplers
 from depthsample.imagedata import SampleSet, nearest_pixel
 from depthsample.samplers import (
     CapacityError,
+    _bridson,
     _lattice_dims,
     grid_mask,
     locations_to_mask,
@@ -176,6 +179,73 @@ def test_poisson_masks_and_radii_match_golden_digests(h, w, n, seed):
     mask, radius = poisson_mask(h, w, n, seed, return_radius=True)
     digest = hashlib.sha256(mask.bits.tobytes() + repr(radius).encode()).hexdigest()
     assert digest == POISSON_GOLDEN[h, w, n, seed]
+
+
+def _reference_bridson(height, width, radius, rng, stop_at):
+    """The one-candidate-at-a-time Bridson loop `samplers._bridson` batches."""
+    pad = math.ceil(radius)
+    reach = np.arange(-pad, pad + 1)
+    disc = reach[:, None] ** 2 + reach[None, :] ** 2 < radius * radius
+    blocked = np.zeros((height + 2 * pad, width + 2 * pad), dtype=bool)
+    points = []
+
+    def push(px, py):
+        points.append((px, py))
+        blocked[py:py + 2 * pad + 1, px:px + 2 * pad + 1] |= disc
+
+    push(math.ceil(rng.uniform(0, width - 1) - 0.5), math.ceil(rng.uniform(0, height - 1) - 0.5))
+    active = [0]
+    while active and (stop_at is None or len(points) < stop_at):
+        slot = int(rng.integers(len(active)))
+        ax, ay = points[active[slot]]
+        placed = False
+        for _ in range(30):
+            rho = rng.uniform(radius, 2 * radius)
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            px = math.ceil(ax + rho * math.cos(theta) - 0.5)
+            py = math.ceil(ay + rho * math.sin(theta) - 0.5)
+            if not (0 <= px < width and 0 <= py < height):
+                continue
+            if not blocked[py + pad, px + pad]:
+                push(px, py)
+                active.append(len(points) - 1)
+                placed = True
+                break
+        if not placed:
+            active[slot] = active[-1]
+            active.pop()
+    return np.array(points, dtype=np.int64).reshape(-1, 2)
+
+
+def _assert_bridson_equals_reference(height, width, radius, rng, stop_at):
+    """Both loops give the same points and leave the generator in the same state."""
+    ref_rng = np.random.Generator(np.random.PCG64())
+    ref_rng.bit_generator.state = rng.bit_generator.state
+    points = _bridson(height, width, radius, rng, stop_at)
+    assert np.array_equal(points, _reference_bridson(height, width, radius, ref_rng, stop_at))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return points
+
+
+@pytest.mark.parametrize("h, w, n, seed", sorted(POISSON_GOLDEN))
+def test_batched_bridson_equals_the_scalar_loop_on_every_pass(h, w, n, seed, monkeypatch):
+    passes = []
+
+    def checked(height, width, radius, rng, stop_at):
+        passes.append(_assert_bridson_equals_reference(height, width, radius, rng, stop_at))
+        return passes[-1]
+
+    monkeypatch.setattr(samplers, "_bridson", checked)
+    poisson_mask(h, w, n, seed)
+    assert len(passes) == 21  # 20 bisection probes and the saturated pass
+
+
+@pytest.mark.parametrize("stop_at", [2304, None])
+def test_batched_bridson_equals_the_scalar_loop_at_the_largest_budget(stop_at):
+    # 8.062244415283203 is the radius poisson_mask(240, 960, 2304, 0) reaches
+    points = _assert_bridson_equals_reference(240, 960, 8.062244415283203,
+                                              np.random.default_rng([0, 19]), stop_at)
+    assert len(points) >= 2304
 
 
 def test_all_samplers_hit_exact_budgets():

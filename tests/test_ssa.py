@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from depthsample import ssa
 from depthsample.imagedata import DepthMap, SampleSet, nearest_pixel
 from depthsample.scenes import gen_scene
 from depthsample.ssa import (
@@ -255,6 +256,26 @@ def test_temperature_schedule_validation():
         TemperatureSchedule(1.0, 0.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SsaConfig(temperature=float("nan")),
+    lambda: SsaConfig(temperature=float("inf")),
+    lambda: SsaConfig(temperature=0.0),
+    lambda: SsaConfig(temperature=-1.0),
+    lambda: TemperatureSchedule(float("nan"), 0.1),
+    lambda: TemperatureSchedule(float("inf"), 0.1),
+    lambda: TemperatureSchedule(1.0, float("nan")),
+    lambda: TemperatureSchedule(float("nan"), float("nan")),
+    lambda: gradient_check(cases=1, t_range=(0.2, float("inf"))),
+    lambda: gradient_check(cases=1, t_range=(float("nan"), 2.0)),
+    lambda: gradient_check(cases=1, t_range=(0.0, 2.0)),
+    lambda: gradient_check(cases=1, t_range=(2.0, 0.2)),
+    lambda: ssa_weights(np.array([0.0, 0.0]), _grid_points(2, 2), t=float("nan")),
+])
+def test_non_finite_or_non_positive_temperatures_are_rejected(make):
+    with pytest.raises(ValueError, match="temperature"):
+        make()
+
+
 # ---------------------------------------------------------------- refinement
 
 def test_refine_stays_put_when_targets_already_met():
@@ -490,6 +511,76 @@ def test_refine_equals_the_per_location_loop(invalid):
         assert np.array_equal(res.locations.locations, ref_locs)
         assert np.array_equal(res.losses, ref_losses)
         assert res.diverged == ref_diverged
+
+
+def _window_kinds(monkeypatch):
+    """Record, per `_windows` call, each window's kind: clipped, holey or full."""
+    kinds = []
+    windows = ssa._windows
+
+    def spy(d, locs, offsets):
+        px, py, depths, ok = windows(d, locs, offsets)
+        clipped = ((px.min(1) < 0) | (px.max(1) >= d.width)
+                   | (py.min(1) < 0) | (py.max(1) >= d.height))
+        kinds.append("".join(np.where(clipped, "c", np.where(ok.all(1), "f", "h"))))
+        return px, py, depths, ok
+
+    monkeypatch.setattr(ssa, "_windows", spy)
+    return kinds
+
+
+def _assert_refine_equals_reference(d, locs, targets, cfg, lr, steps):
+    res = refine_locations(d, SampleSet(locs), targets, cfg, lr=lr, steps=steps)
+    ref_locs, ref_losses, ref_diverged = _reference_refine(d, locs, targets, cfg, lr, steps)
+    assert np.array_equal(res.locations.locations, ref_locs)
+    assert np.array_equal(res.losses, ref_losses)
+    assert res.diverged == ref_diverged
+
+
+def test_refine_equals_the_per_location_loop_as_windows_change_kind(monkeypatch):
+    """Locations walk from the border up a depth ramp and past a hole.
+
+    The first location's window is clipped, then full, then holey, then full
+    again, so steps that read every window as one group alternate with steps
+    that group the windows by valid count.
+    """
+    yy, xx = np.mgrid[0:30, 0:40]
+    valid = np.ones((30, 40), dtype=bool)
+    valid[12, 9:12] = False
+    d = DepthMap(np.where(valid, 1000.0 + 200.0 * xx + 10.0 * yy, 0.0), valid)
+    locs = np.array([[0.3, 12.2], [1.0, 5.0], [0.0, 20.0]])
+    targets = 1000.0 + 200.0 * 20 + 10.0 * locs[:, 1]
+    cfg = SsaConfig(window=5, schedule=TemperatureSchedule(1.5, 0.1))
+    kinds = _window_kinds(monkeypatch)
+    _assert_refine_equals_reference(d, locs, targets, cfg, lr=1e-6, steps=40)
+    first = [k[0] for k in kinds]
+    assert "".join(c for i, c in enumerate(first) if i == 0 or c != first[i - 1]) == "cfhf"
+    full_steps = [k == "fff" for k in kinds]
+    assert any(full_steps) and not all(full_steps)
+
+
+def test_refine_equals_the_per_location_loop_when_every_window_is_full(monkeypatch):
+    d = _random_depth(40, 50, 67)
+    rng = np.random.default_rng(71)
+    locs = rng.uniform((5.0, 5.0), (44.0, 34.0), size=(24, 2))
+    targets = rng.uniform(500.0, 20000.0, size=24)
+    cfg = SsaConfig(window=7, schedule=TemperatureSchedule(1.5, 0.1))
+    kinds = _window_kinds(monkeypatch)
+    _assert_refine_equals_reference(d, locs, targets, cfg, lr=1e-9, steps=30)
+    assert len(kinds) == 30 and all(k == "f" * 24 for k in kinds)
+
+
+@pytest.mark.parametrize("h, w", [(9, 11), (2, 2)])
+def test_read_of_no_locations_returns_empty_arrays(h, w):
+    d = _holey_depth(h, w, 73)
+    for window in (3, 5):
+        empty = ssa_read(d, np.zeros((0, 2)), SsaConfig(window=window))
+        k = window * window
+        assert empty.values.shape == (0,) and empty.gradients.shape == (0, 2)
+        assert empty.weights.shape == empty.valid.shape == (0, k)
+        assert empty.pixels.shape == (0, k, 2)
+    res = refine_locations(d, SampleSet(np.zeros((0, 2))), np.zeros(0), steps=3)
+    assert res.locations.locations.shape == (0, 2) and res.losses.tolist() == [0.0, 0.0, 0.0]
 
 
 # SHA-256 of the refined locations, the losses and `diverged`, recorded with
