@@ -28,7 +28,9 @@ at the benchmark's refine budget (48 samples, 200 steps); ``grad-check`` over
 200 cases; the jitter and staleness experiment rows at full precision, with
 jitter also over seeds 0-2 (so that range 0 shares one mask among three
 cells) and staleness also on a static four-frame sequence at delays 0 and 2
-(so that every delay shares one mask).
+(so that every delay shares one mask); the jitter and staleness runs again
+with ``workers=2`` as ``jitter-w2.txt`` and ``temporal-w2.txt``, whose
+hashes must equal those of ``jitter.txt`` and ``temporal.txt``.
 The exit code, stdout and stderr of every command are outputs too, with
 OUTDIR written as ``<out>`` so that listings from different directories
 compare equal.
@@ -162,11 +164,13 @@ def main(out: Path) -> None:
                                     reconstructors=("colorization", "nearest"),
                                     rates=(0.02,), seeds=(0, 1))
     still = [scenes.gen_scene(kind, HEIGHT, WIDTH, 5) for kind in scenes.SCENE_KINDS[:2]]
-    rows = evaluate.jitter_experiment(still, (0.0, 2.0, 5.0), cfg)
-    (out / "jitter.txt").write_text(repr(rows) + "\n")
     frames = scenes.gen_translating_sequence(HEIGHT, WIDTH, 5, shift_px=2, seed=3)
-    rows = evaluate.temporal_experiment(frames, (0, 1, 2), cfg)
-    (out / "temporal.txt").write_text(repr(rows) + "\n")
+    for suffix, workers in (("", 1), ("-w2", 2)):
+        run_cfg = dataclasses.replace(cfg, workers=workers)
+        rows = evaluate.jitter_experiment(still, (0.0, 2.0, 5.0), run_cfg)
+        (out / f"jitter{suffix}.txt").write_text(repr(rows) + "\n")
+        rows = evaluate.temporal_experiment(frames, (0, 1, 2), run_cfg)
+        (out / f"temporal{suffix}.txt").write_text(repr(rows) + "\n")
     rows = evaluate.jitter_experiment(still, (0.0, 2.0, 5.0),
                                       dataclasses.replace(cfg, seeds=(0, 1, 2)))
     (out / "jitter-seeds3.txt").write_text(repr(rows) + "\n")

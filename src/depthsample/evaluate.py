@@ -10,8 +10,10 @@ unless explicitly requested, since they would break byte-reproducibility.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -82,6 +84,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         self.solver()  # rejects a bad solver field now, not in every cell
+        for name, known in (("samplers", SAMPLERS), ("reconstructors", RECONSTRUCTORS)):
+            for value in getattr(self, name):
+                if value not in known:
+                    raise ValueError(f"{name}: unknown name {value!r}, expected one of {known}")
+        for rate in self.rates:
+            if not 0 < rate <= 1:
+                raise ValueError(f"rates: sampling rate must be in (0, 1], got {rate}")
         for name in ("samplers", "reconstructors", "rates", "seeds"):
             _check_distinct(name, getattr(self, name))
 
@@ -267,29 +276,15 @@ def _mask_key(sampler: str, image: int, n: int, seed: int) -> tuple:
     return sampler, image, n, seed if sampler in ("random", "poisson") else None
 
 
-def _shared_sample(images: list[RgbImage], cfg: ExperimentConfig):
-    """``sample`` over ``images`` for the length of one harness call: each
-    distinct mask (``_mask_key``) is sampled once, by the first cell that
-    needs it, and returned again to every later cell with the same key."""
-    made = {}
-
-    def get(sampler: str, image: int, n: int, seed: int) -> Sampling:
-        key = _mask_key(sampler, image, n, seed)
-        if key not in made:
-            made[key] = sample(sampler, images[image], n, seed, cfg.m, cfg.slic_iters)
-        return made[key]
-
-    return get
-
-
-def _attempt(fn, *args) -> tuple[object, str, float]:
-    """``fn(*args)`` as (result, error, seconds).  The error is "" on success,
-    else "Type: message" and the result None: one cell must not kill a run."""
+def _attempt(fn, *args) -> tuple[object, Exception | None, float]:
+    """``fn(*args)`` as (result, error, seconds).  The error is None on
+    success, else the exception raised, and the result None: one cell must
+    not stop the others."""
     t0 = time.perf_counter()
     try:
-        result, error = fn(*args), ""
-    except Exception as exc:  # recorded by the caller
-        result, error = None, f"{type(exc).__name__}: {exc}"
+        result, error = fn(*args), None
+    except Exception as exc:  # handed to the caller
+        result, error = None, exc
     return result, error, time.perf_counter() - t0
 
 
@@ -337,20 +332,77 @@ def _scene_graph(lab: LabImage, recons, cfg: ExperimentConfig) -> AffinityGraph 
     return build_affinity(lab, cfg.sigma_c) if "colorization" in recons else None
 
 
-def _score_scene(scene: SyntheticScene, lab: LabImage, jobs: list[tuple[str, SamplingMask]],
-                 cfg: ExperimentConfig) -> list[tuple[float, float, bool]]:
-    """``_evaluate_mask`` for each (reconstructor, mask) of ``jobs`` on one
-    scene, in order: each distinct ``_evaluation_key`` is evaluated once, and
-    colorization solves share one affinity graph, which lives only for this
-    call.  The masks are made before the graph, so that sampling never runs
-    while a graph is held."""
-    graph = _scene_graph(lab, {recon for recon, _ in jobs}, cfg)
-    made, out = {}, []
-    for recon, mask in jobs:
-        key = _evaluation_key(recon, mask)
-        if key not in made:
-            made[key] = _evaluate_mask(mask, scene, lab, recon, cfg, graph)
-        out.append(made[key])
+_OWN_MASK = operator.attrgetter("mask")  # a cell's move that keeps the sampler's own mask
+
+
+def _run_cells(scenes: list[SyntheticScene], cells: list[tuple], cfg: ExperimentConfig):
+    """Run ``cells``, each (scene, reconstructor, sample arguments, move): the
+    index in ``scenes`` of the scene it scores, ``sample``'s (sampler, index
+    of the image it samples, n, seed), and a function that turns that
+    ``Sampling`` into the cell's mask.  Returns (mask, scores, error,
+    seconds) per cell: ``_evaluate_mask``'s scores, or the exception that
+    failed the cell.
+
+    Each distinct sampling (``_mask_key``) is made once, in a first pass,
+    and moved for each cell that uses it.  Then, scene by scene, each
+    distinct evaluation (``_evaluation_key``) runs once, and the scene's
+    colorization solves share one affinity graph, dropped when the scene's
+    pass ends.  A sampling's time goes to the first cell that uses it, and
+    an evaluation's time, the graph's build included, to the first cell that
+    uses the evaluation, so the cells' seconds add up to the work.  With
+    ``cfg.workers`` > 1 the samplings, and each scene's graph and
+    evaluations, run in a thread pool; results are in cell order.
+    """
+    uses = {}  # mask key -> the cells that use it, in order
+    for i, (_, _, args, _) in enumerate(cells):
+        uses.setdefault(_mask_key(*args), []).append(i)
+
+    def make(group):  # one sampling, moved for each of its cells
+        sampler, image, n, seed = cells[group[0]][2]
+        sampling, error, seconds = _attempt(sample, sampler, scenes[image].rgb, n, seed,
+                                            cfg.m, cfg.slic_iters)
+        moved = [(None, error, 0.0) if error is not None else _attempt(cells[i][3], sampling)
+                 for i in group]
+        mask, error, move_s = moved[0]
+        return [(mask, error, seconds + move_s), *moved[1:]]
+
+    def score_scene(si, todo):
+        """Scores of the scene's distinct evaluations, by first cell."""
+        lab = rgb_to_lab(scenes[si].rgb)
+        # Built on a pool thread like the solves: built on this one, it added
+        # 4-6 MB to a two-worker run's peak RSS (allocator arenas).  A graph
+        # that fails to build is None, and each solve then fails on its own.
+        (graph, _, build_s), = each(lambda recons: _attempt(_scene_graph, lab, recons, cfg),
+                                    [{cells[i][1] for i in todo}])
+        scores = dict(zip(todo, each(lambda i: _attempt(
+            _evaluate_mask, made[i][0], scenes[si], lab, cells[i][1], cfg, graph), todo)))
+        builder = next((i for i in todo if cells[i][1] == "colorization"), None)
+        if builder is not None:
+            result, error, seconds = scores[builder]
+            scores[builder] = result, error, seconds + build_s
+        return scores
+
+    made = {}  # cell -> (mask, error, seconds)
+    with _mapper(cfg.workers) as each:
+        for group, results in zip(uses.values(), each(make, uses.values())):
+            made.update(zip(group, results))
+        owner = {}  # scene -> {evaluation key: the first cell that uses it}
+        for i, (si, recon, _, _) in enumerate(cells):
+            if made[i][1] is None:
+                owner.setdefault(si, {}).setdefault(_evaluation_key(recon, made[i][0]), i)
+        scores = {}
+        for si, todo in owner.items():
+            scores.update(score_scene(si, list(todo.values())))
+
+    out = []
+    for i, (si, recon, _, _) in enumerate(cells):
+        mask, error, seconds = made[i]
+        result = None
+        if error is None:
+            first = owner[si][_evaluation_key(recon, mask)]
+            result, error, score_s = scores[first]
+            seconds += score_s if first == i else 0.0
+        out.append((mask, result, error, seconds))
     return out
 
 
@@ -358,91 +410,33 @@ def run_matrix(scenes: list[SyntheticScene], cfg: ExperimentConfig,
                scene_names: list[str] | None = None) -> EvalReport:
     """Evaluate every sampler x reconstructor x rate x seed on every scene.
 
-    Each distinct mask (``_mask_key``) is computed once, in a first pass.
-    Then each distinct evaluation (the scene, the reconstructor and the
-    mask's bits) runs once, scene by scene, and its scores go to every cell
-    that shares it: ``grid`` and ``sps`` give every seed the same mask.  A
-    scene's colorization solves share one affinity graph, built when the
-    scene's pass starts and dropped when it ends.  A failed cell, or a cell
-    whose mask or evaluation failed, records the error message and the run
-    continues.  A cell's ``time_ms`` is the mask's sampling time and the
-    evaluation's time (the graph's build included), each charged to the first
-    cell in canonical order that uses it, so the cells' times add up to the
-    run's work.  With ``cfg.workers`` > 1 the masks, and each scene's
-    evaluations, run in a thread pool; results are ordered by cell identity,
-    not completion, so reports do not depend on scheduling.
+    The cells run through ``_run_cells``: each distinct mask is computed
+    once, and each distinct evaluation (the scene, the reconstructor and the
+    mask's bits) runs once, so the seeds of ``grid`` and ``sps`` share one
+    mask and one solve.  A cell whose mask or evaluation failed records the
+    error as "Type: message" and the run continues.  A cell's ``time_ms`` is
+    the mask's sampling time and the evaluation's time (the graph's build
+    included), each charged to the first cell in canonical order that uses
+    it, so the cells' times add up to the run's work.  Rows are ordered by
+    cell identity, not completion, so reports do not depend on
+    ``cfg.workers``.
     """
     if scene_names is None:
         scene_names = [f"{i:03d}" for i in range(len(scenes))]
-    labs = [rgb_to_lab(s.rgb) for s in scenes]
     cells = list(_cells(range(len(scenes)), cfg))
-
-    def mask_args(si, sampler, rate, seed):
-        depth = scenes[si].depth
-        return sampler, si, target_count(rate, depth.height, depth.width), _cell_seed(seed, si)
-
-    plans = [_attempt(mask_args, si, sampler, rate, seed)
-             for si, sampler, _, rate, seed in cells]
-    first = {}  # mask key -> index of the first cell, in canonical order, that uses it
-    for i, (args, error, _) in enumerate(plans):
-        if not error:
-            first.setdefault(_mask_key(*args), i)
-
-    def make_mask(i):
-        sampler, si, n, seed = plans[i][0]
-        return sample(sampler, scenes[si].rgb, n, seed, cfg.m, cfg.slic_iters).mask
-
-    def mask_of(i):  # (mask, error, seconds charged to cell i)
-        args, error, seconds = plans[i]
-        if error:
-            return None, error, seconds
-        key = _mask_key(*args)
-        mask, error, sample_s = masks[key]
-        return mask, error, seconds + (sample_s if first[key] == i else 0.0)
-
-    def evaluation(i, mask):
-        return cells[i][0], _evaluation_key(cells[i][2], mask)
-
-    def score_scene(si):
-        """Scores of the scene's distinct evaluations, by the index of the
-        first cell in canonical order that uses each."""
-        todo = [i for (sj, _), i in owner.items() if sj == si]
-        # Built on a pool thread like the solves: built on this one, it added
-        # 4-6 MB to a two-worker run's peak RSS (allocator arenas).  A graph
-        # that fails to build is None, and each solve then fails on its own.
-        (graph, _, build_s), = each(lambda recons: _attempt(_scene_graph, labs[si], recons, cfg),
-                                    [{cells[i][2] for i in todo}])
-        scores = dict(zip(todo, each(lambda i: _attempt(
-            _evaluate_mask, made[i][0], scenes[si], labs[si], cells[i][2], cfg, graph), todo)))
-        builder = next((i for i in todo if cells[i][2] == "colorization"), None)
-        if builder is not None:
-            result, error, seconds = scores[builder]
-            scores[builder] = result, error, seconds + build_s
-        return scores
-
-    with _mapper(cfg.workers) as each:
-        masks = dict(zip(first, each(lambda i: _attempt(make_mask, i), first.values())))
-        made = [mask_of(i) for i in range(len(cells))]
-        owner = {}  # (scene, evaluation key) -> first cell, in canonical order, that uses it
-        for i, (mask, error, _) in enumerate(made):
-            if not error:
-                owner.setdefault(evaluation(i, mask), i)
-        scores = {}
-        for si in range(len(scenes)):
-            scores.update(score_scene(si))
-
+    results = _run_cells(scenes, [
+        (si, recon, (sampler, si, target_count(rate, scenes[si].depth.height, scenes[si].depth.width),
+                     _cell_seed(seed, si)), _OWN_MASK)
+        for si, sampler, recon, rate, seed in cells], cfg)
     rows = []
-    for i, (si, sampler, recon, rate, seed) in enumerate(cells):
-        row = CellResult(scene_names[si], sampler, recon, rate, seed)
-        mask, row.error, seconds = made[i]
-        if not row.error:
+    for (si, sampler, recon, rate, seed), (mask, result, error, seconds) in zip(cells, results):
+        row = CellResult(scene_names[si], sampler, recon, rate, seed, time_ms=seconds * 1000.0)
+        if mask is not None:
             row.samples = mask.count
-            first_use = owner[evaluation(i, mask)]
-            result, row.error, score_s = scores[first_use]
-            seconds += score_s if first_use == i else 0.0
-            if result is not None:
-                row.mae_mm, row.rmse_mm, row.converged = result
-        row.time_ms = seconds * 1000.0
+        if error is not None:
+            row.error = f"{type(error).__name__}: {error}"
+        if result is not None:
+            row.mae_mm, row.rmse_mm, row.converged = result
         rows.append(row)
     return EvalReport(rows)
 
@@ -453,12 +447,21 @@ def report_payload(report: EvalReport) -> dict:
             "aggregate": report.aggregate()}
 
 
-def _trend_row(key: str, value, sampler: str, recon: str, rate: float, seed: int,
-               results: list[tuple[float, float, bool]]) -> dict:
-    """One experiment row: the cell and its errors averaged over its evaluations."""
-    return {key: value, "sampler": sampler, "reconstructor": recon, "rate": rate,
-            "seed": seed, "mae_mm": float(np.mean([r[0] for r in results])),
-            "rmse_mm": float(np.mean([r[1] for r in results]))}
+def _trend_rows(key: str, cells: list[tuple], results: list[tuple]) -> list[dict]:
+    """One row per experiment cell (value, sampler, reconstructor, rate,
+    seed), its errors averaged over its scenes or frames in order, from
+    ``_run_cells``' results for every scene's cells in turn.  The first
+    failure, in (scene, cell) order, is raised."""
+    for _, _, error, _ in results:
+        if error is not None:
+            raise error
+    rows = []
+    for c, (value, sampler, recon, rate, seed) in enumerate(cells):
+        scores = [result for _, result, _, _ in results[c::len(cells)]]
+        rows.append({key: value, "sampler": sampler, "reconstructor": recon, "rate": rate,
+                     "seed": seed, "mae_mm": float(np.mean([r[0] for r in scores])),
+                     "rmse_mm": float(np.mean([r[1] for r in scores]))})
+    return rows
 
 
 TEMPORAL_COLUMNS = ["delta_t", "sampler", "reconstructor", "rate", "seed",
@@ -474,11 +477,12 @@ def temporal_experiment(frames: list[SyntheticScene], delta_ts: tuple[int, ...],
     independent, so their masks are seeded by the current frame index and
     staleness cannot affect them.  Frames before max(delta_ts) are skipped so
     every delay is averaged over the same evaluation frames.  The delays must
-    be distinct and at least 0.  Each distinct mask is sampled once per call
-    and shared (``_shared_sample``).  Frames are evaluated one at a time,
-    each distinct (reconstructor, mask) once per frame, with one affinity
-    graph per frame (``_score_scene``); each row then averages its frames
-    in frame order.
+    be distinct and at least 0.  The cells run through ``_run_cells`` at
+    ``cfg.workers``: each distinct mask is sampled once per call, and each
+    frame's distinct (reconstructor, mask) is evaluated once with one
+    affinity graph.  Each row averages its frames in frame order.  Every
+    evaluation runs before the first failure, in (frame, cell) order, is
+    raised.
     """
     if not frames:
         raise ValueError("temporal experiment needs at least one frame")
@@ -491,23 +495,27 @@ def temporal_experiment(frames: list[SyntheticScene], delta_ts: tuple[int, ...],
     start = max(delta_ts)
     if start >= len(frames):
         raise ValueError(f"sequence of {len(frames)} frames is too short for delay {start}")
-    labs = [rgb_to_lab(f.rgb) for f in frames]
     h, w = frames[0].depth.height, frames[0].depth.width
-    sample_frame = _shared_sample([f.rgb for f in frames], cfg)
     cells = list(_cells(delta_ts, cfg))
-
-    def jobs(t):
-        return [(recon, sample_frame(sampler, t - dt, target_count(rate, h, w),
-                                     _cell_seed(seed, t)).mask)
-                for dt, sampler, recon, rate, seed in cells]
-
-    scores = [_score_scene(frames[t], labs[t], jobs(t), cfg) for t in range(start, len(frames))]
-    return [_trend_row("delta_t", dt, sampler, recon, rate, seed, [frame[c] for frame in scores])
-            for c, (dt, sampler, recon, rate, seed) in enumerate(cells)]
+    results = _run_cells(frames, [
+        (t, recon, (sampler, t - dt, target_count(rate, h, w), _cell_seed(seed, t)), _OWN_MASK)
+        for t in range(start, len(frames)) for dt, sampler, recon, rate, seed in cells], cfg)
+    return _trend_rows("delta_t", cells, results)
 
 
 JITTER_COLUMNS = ["jitter_px", "sampler", "reconstructor", "rate", "seed",
                   "mae_mm", "rmse_mm"]
+
+
+def _jitter(k: float, seed: int, si: int, n: int, h: int, w: int,
+            sampling: Sampling) -> SamplingMask:
+    """The mask of ``sampling``'s n locations after uniform noise in
+    [-k, k]^2, drawn from (seed, si), clipped to the h x w image."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, si, 7]))
+    moved = sampling.locations.locations + rng.uniform(-k, k, size=(n, 2))
+    moved[:, 0] = np.clip(moved[:, 0], 0, w - 1)
+    moved[:, 1] = np.clip(moved[:, 1], 0, h - 1)
+    return locations_to_mask(SampleSet(moved), h, w)
 
 
 def jitter_experiment(scenes: list[SyntheticScene], ranges: tuple[float, ...],
@@ -517,34 +525,24 @@ def jitter_experiment(scenes: list[SyntheticScene], ranges: tuple[float, ...],
     Perturbed locations are clipped to the image and rasterized with
     collision resolution, so the sample budget is preserved.  Range 0 draws
     zero noise and reproduces the unperturbed result bit for bit.  The
-    ranges must be distinct and at least 0.  Each distinct set of locations
-    is sampled once per call and shared by every range (``_shared_sample``).
-    Scenes are evaluated one at a time, each distinct (reconstructor, mask)
-    once per scene, with one affinity graph per scene (``_score_scene``), so
-    range 0 solves an unseeded sampler's mask once for every seed; each row
-    then averages its scenes in scene order.
+    ranges must be distinct and at least 0.  The cells run through
+    ``_run_cells`` at ``cfg.workers``: each distinct set of locations is
+    sampled once per call and moved for every range, and each scene's
+    distinct (reconstructor, mask) is evaluated once with one affinity
+    graph, so range 0 solves an unseeded sampler's mask once for every seed.
+    Each row averages its scenes in scene order.  Every evaluation runs
+    before the first failure, in (scene, cell) order, is raised.
     """
     for k in ranges:
         if k < 0:
             raise ValueError(f"jitter range must be non-negative, got {k}")
     _check_distinct("jitter ranges", ranges)
-    labs = [rgb_to_lab(s.rgb) for s in scenes]
-    sample_scene = _shared_sample([s.rgb for s in scenes], cfg)
     cells = list(_cells(ranges, cfg))
-
-    def jobs(si, h, w):
-        out = []
+    runs = []
+    for si, scene in enumerate(scenes):
+        h, w = scene.depth.height, scene.depth.width
         for k, sampler, recon, rate, seed in cells:
             n = target_count(rate, h, w)
-            locs = sample_scene(sampler, si, n, _cell_seed(seed, si)).locations
-            rng = np.random.default_rng(np.random.SeedSequence([seed, si, 7]))
-            moved = locs.locations + rng.uniform(-k, k, size=(n, 2))
-            moved[:, 0] = np.clip(moved[:, 0], 0, w - 1)
-            moved[:, 1] = np.clip(moved[:, 1], 0, h - 1)
-            out.append((recon, locations_to_mask(SampleSet(moved), h, w)))
-        return out
-
-    scores = [_score_scene(scene, labs[si], jobs(si, scene.depth.height, scene.depth.width), cfg)
-              for si, scene in enumerate(scenes)]
-    return [_trend_row("jitter_px", k, sampler, recon, rate, seed, [scene[c] for scene in scores])
-            for c, (k, sampler, recon, rate, seed) in enumerate(cells)]
+            runs.append((si, recon, (sampler, si, n, _cell_seed(seed, si)),
+                         functools.partial(_jitter, k, seed, si, n, h, w)))
+    return _trend_rows("jitter_px", cells, _run_cells(scenes, runs, cfg))

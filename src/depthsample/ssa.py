@@ -295,7 +295,11 @@ def hard_sample(d: DepthMap, location: np.ndarray, window: int = 5):
     Returns ``((px, py), depth)``.  Rounding ties go toward the smaller
     index.  If the nearest pixel is invalid, the nearest valid pixel inside
     the window is used instead; with none valid a SamplingError is raised.
+    ``window`` must be odd and at least 1, so that its center is the nearest
+    pixel; ValueError otherwise.
     """
+    if window < 1 or window % 2 == 0:
+        raise ValueError(f"window must be an odd size of at least 1, got {window}")
     loc = np.asarray(location, dtype=np.float64)
     px, py, depths, ok = (a[0] for a in _windows(d, loc[None], _offsets(window)))
     best = window * window // 2  # the window center is the nearest pixel

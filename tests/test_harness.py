@@ -2,7 +2,9 @@
 mask-staleness and pointing-jitter experiments, and report serialization."""
 import collections
 import dataclasses
+import functools
 import json
+import threading
 import time
 
 import numpy as np
@@ -116,7 +118,11 @@ def test_full_sampling_with_solver_reproduces_ground_truth():
 
 
 @pytest.mark.parametrize("field, bad", [("tol", -1.0), ("tol", float("nan")), ("max_iters", -5),
-                                        ("sigma_c", 0.0)])
+                                        ("sigma_c", 0.0),
+                                        # axes: every cell would fail alike, so refuse them up front
+                                        ("rates", (0.01, 0.0)), ("rates", (1.5,)),
+                                        ("rates", (float("nan"),)), ("samplers", ("grid", "ssa")),
+                                        ("reconstructors", ("cubic",))])
 def test_experiment_config_rejects_a_bad_solver_field_when_made(field, bad):
     with pytest.raises(ValueError, match=field):
         ExperimentConfig(**{field: bad})
@@ -489,3 +495,56 @@ def test_temporal_solves_each_distinct_mask_of_a_frame_once(monkeypatch):
     # frames 2 and 3 are scored; on a static sequence both delays give one mask
     assert len(solves) == 2 and len(builds) == 2
     assert rows[0]["rmse_mm"] == rows[1]["rmse_mm"]
+
+
+# ------------------------------------------------------------ experiment engine
+
+
+@pytest.mark.parametrize("experiment", ["jitter", "temporal"])
+def test_experiments_honour_workers(monkeypatch, experiment):
+    cfg = ExperimentConfig(samplers=("random", "sps"), reconstructors=("colorization",),
+                           rates=(0.05,), seeds=(0, 1))
+    if experiment == "jitter":
+        run = functools.partial(jitter_experiment,
+                                [gen_scene("piecewise-constant", 16, 20, s) for s in (0, 1)],
+                                (0.0, 3.0))
+    else:
+        run = functools.partial(temporal_experiment,
+                                gen_translating_sequence(16, 20, 4, shift_px=2, seed=1), (0, 1))
+    serial = run(cfg)
+    threads = set()
+    original = evaluate.colorization_reconstruct
+
+    def recorded(*args, **kwargs):
+        threads.add(threading.get_ident())
+        time.sleep(0.05)  # keep one solve running while the pool hands out the next
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "colorization_reconstruct", recorded)
+    assert run(dataclasses.replace(cfg, workers=2)) == serial
+    assert len(threads) > 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("experiment", ["jitter", "temporal"])
+def test_a_failure_inside_an_experiment_propagates(monkeypatch, experiment, workers):
+    cfg = ExperimentConfig(samplers=("grid", "sps"), reconstructors=("nearest",),
+                           rates=(0.05,), seeds=(0,), workers=workers)
+    if experiment == "jitter":
+        scenes = [gen_scene("piecewise-constant", 16, 20, s) for s in (0, 1)]
+        doomed = scenes[1].rgb
+        run = functools.partial(jitter_experiment, scenes, (0.0, 2.0))
+    else:
+        frames = gen_translating_sequence(16, 20, 4, shift_px=2, seed=1)
+        doomed = frames[2].rgb
+        run = functools.partial(temporal_experiment, frames, (0, 1))
+    original = evaluate.sample
+
+    def flaky(sampler, rgb, *args):
+        if rgb is doomed and sampler == "sps":
+            raise RuntimeError("sensor offline")
+        return original(sampler, rgb, *args)
+
+    monkeypatch.setattr(evaluate, "sample", flaky)
+    with pytest.raises(RuntimeError, match="^sensor offline$"):
+        run(cfg)

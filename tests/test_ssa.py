@@ -203,6 +203,21 @@ def test_hard_sample_falls_back_to_nearest_valid():
     assert (px, py) == (2, 1)  # distance ties resolved by smaller y, then x
 
 
+@pytest.mark.parametrize("window", [-1, 0, 2, 4])
+def test_hard_sample_rejects_an_even_or_empty_window(window):
+    # an even window has no center pixel: it used to return (6, 4) at (5, 5)
+    d = _full(np.arange(100, dtype=float).reshape(10, 10) + 1)
+    with pytest.raises(ValueError, match=f"odd size of at least 1, got {window}"):
+        hard_sample(d, np.array([5.0, 5.0]), window)
+
+
+@pytest.mark.parametrize("window", [1, 3, 5, 7])
+def test_hard_sample_odd_windows_return_the_nearest_pixel(window):
+    d = _full(np.arange(100, dtype=float).reshape(10, 10) + 1)
+    assert hard_sample(d, np.array([5.0, 5.0]), window) == ((5, 5), 56.0)
+    assert hard_sample(d, np.array([2.4, 7.6]), window) == ((2, 8), 83.0)
+
+
 def test_soft_cold_limit_agrees_with_hard():
     d = _random_depth(9, 9, 17)
     rng = np.random.default_rng(23)
