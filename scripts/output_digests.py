@@ -24,13 +24,17 @@ frames, where connectivity enforcement merges the most orphans; the raw
 float64 bytes of ``nn_reconstruct`` on three of those masks: ``grid`` at
 ``--rate 0.5`` on scene ``000`` (dense, with many ties), ``grid`` on the strip
 and ``sps`` at 240x320; ``ssa-refined`` on one 120x160 ``step-edge`` scene
-at the benchmark's refine budget (48 samples, 200 steps); ``grad-check`` over
-200 cases; the jitter and staleness experiment rows at full precision, with
-jitter also over seeds 0-2 (so that range 0 shares one mask among three
-cells) and staleness also on a static four-frame sequence at delays 0 and 2
-(so that every delay shares one mask); the jitter and staleness runs again
-with ``workers=2`` as ``jitter-w2.txt`` and ``temporal-w2.txt``, whose
-hashes must equal those of ``jitter.txt`` and ``temporal.txt``.
+at the benchmark's refine budget (48 samples, 200 steps); a flat wall (a
+uniform grey 60x80 image at a constant 2,500 mm, where the nearest-sample
+start already solves colorization) through ``pipeline --recon colorization``
+with every sampler and through ``reconstruct --method colorization`` on a
+``grid`` mask; ``grad-check`` over 200 cases; the jitter and staleness
+experiment rows at full precision, with jitter also over seeds 0-2 (so that
+range 0 shares one mask among three cells) and staleness also on a static
+four-frame sequence at delays 0 and 2 (so that every delay shares one mask);
+the jitter and staleness runs again with ``workers=2`` as ``jitter-w2.txt``
+and ``temporal-w2.txt``, whose hashes must equal those of ``jitter.txt`` and
+``temporal.txt``.
 The exit code, stdout and stderr of every command are outputs too, with
 OUTDIR written as ``<out>`` so that listings from different directories
 compare equal.
@@ -43,6 +47,8 @@ import hashlib
 import io
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from depthsample import cli, evaluate, imagedata, reconstruct, samplers, scenes, superpixel
 
@@ -158,6 +164,25 @@ def main(out: Path) -> None:
          "--in", str(refine_dir / "000_rgb.ppm"), "--gt", str(refine_dir / "000_depth.pgm"),
          "--out", str(out / "step-edge-120x160-ssa-refined-mask.pgm"),
          "--samples-out", str(out / "step-edge-120x160-ssa-refined-locs.csv")])
+
+    flat_dir = out / "scenes-flat"
+    flat_dir.mkdir()
+    imagedata.save_ppm(imagedata.RgbImage(np.full((60, 80, 3), 128, dtype=np.uint8)),
+                       flat_dir / "000_rgb.ppm")
+    flat = imagedata.DepthMap.from_depth(np.full((60, 80), 2500.0))
+    imagedata.save_pgm16(flat, flat_dir / "000_depth.pgm")
+    run(out, "pipeline-flat",
+        ["pipeline", "--in", str(flat_dir), "--out", str(out / "report-flat.csv"),
+         "--cells-out", str(out / "cells-flat.csv"), "--method", "random,grid,poisson,sps",
+         "--recon", "colorization", "--rate", "0.0025"])
+    run(out, "sample-flat-grid", ["sample", "--method", "grid", "--rate", "0.0025",
+                                  "--in", str(flat_dir / "000_rgb.ppm"),
+                                  "--out", str(out / "flat-grid-mask.pgm")])
+    sparse = imagedata.apply_mask(flat, imagedata.load_mask(out / "flat-grid-mask.pgm"))
+    imagedata.save_pgm16(sparse, out / "flat-sparse.pgm")
+    run(out, "reconstruct-flat-colorization",
+        ["reconstruct", "--method", "colorization", "--in", str(out / "flat-sparse.pgm"),
+         "--rgb", str(flat_dir / "000_rgb.ppm"), "--out", str(out / "flat-colorization-dense.pgm")])
     run(out, "grad-check", ["grad-check", "--cases", "200"])
 
     cfg = evaluate.ExperimentConfig(samplers=("random", "grid", "poisson", "sps"),

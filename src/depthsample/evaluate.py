@@ -220,7 +220,7 @@ class Sampling:
 
     An ``sps`` mask is rasterised from the locations on first use, so a
     caller that only moves the locations (jitter, refinement) does not pay
-    for it.  Unpacks and indexes as ``(mask, locations, segmentation)``.
+    for it.  Unpacks as ``(mask, locations, segmentation)``.
     """
 
     def __init__(self, locations: SampleSet, segmentation: Segmentation | None,
@@ -236,9 +236,6 @@ class Sampling:
 
     def __iter__(self):
         return iter((self.mask, self.locations, self.segmentation))
-
-    def __getitem__(self, index):
-        return tuple(self)[index]
 
 
 def sample(sampler: str, rgb: RgbImage, n: int, seed: int, m: float,

@@ -3,10 +3,10 @@
 The flagship reconstructor follows the classic colorization approach: every
 unknown pixel should equal the affinity-weighted average of its 8-neighbors,
 with affinities from color similarity, and sampled pixels act as hard
-constraints.  Because the row-normalized affinities come from a symmetric
-Gaussian kernel, that linear system is equivalent to the reduced graph
-Laplacian system, which is symmetric positive definite and solved here with
-a Jacobi-preconditioned conjugate gradient.
+constraints.  Multiplied by each pixel's degree, those equations are the
+graph Laplacian L = diag(degrees) - K of the symmetric Gaussian kernel K,
+reduced to the unknown pixels; that system is symmetric positive definite
+and solved here with a Jacobi-preconditioned conjugate gradient.
 
 Two simpler baselines round out the module: exact nearest-valid-sample
 lookup and a radius-limited joint bilateral filter.
@@ -31,7 +31,7 @@ __all__ = [
     "bilateral_reconstruct",
 ]
 
-# the smallest degree whose reciprocal is finite; rows below it are left zero
+# a pixel of smaller degree has underflowed affinities and no equation of its own
 _MIN_DEGREE = np.finfo(np.float64).tiny
 
 # side of the pixel blocks that share one nearest-sample candidate list, and
@@ -44,16 +44,16 @@ _OFFSETS_8 = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != 
 
 @dataclass(frozen=True, eq=False)
 class AffinityGraph:
-    """Row-normalized color affinities over the 8-neighbor pixel graph.
+    """Graph Laplacian of the color affinities over the 8-neighbor pixel graph.
 
-    ``weights`` is an (H*W, H*W) CSR matrix whose rows sum to 1; ``degrees``
-    keeps the unnormalized Gaussian row sums so the symmetric Laplacian can
-    be recovered (raw = diag(degrees) @ weights).  A row whose degree is
-    below the smallest normal float is all zero: its affinities underflowed.
-    ``sigma_c`` is the color bandwidth the graph was built with.
+    ``laplacian`` is the (H*W, H*W) CSR matrix L = diag(degrees) - K of the
+    Gaussian kernel K; it is exactly symmetric and its rows sum to 0 up to
+    rounding.  ``degrees`` holds the row sums of K.  A pixel whose degree is
+    below the smallest normal float has no usable equation: its affinities
+    underflowed.  ``sigma_c`` is the color bandwidth the graph was built with.
     """
 
-    weights: sp.csr_matrix
+    laplacian: sp.csr_matrix
     degrees: np.ndarray
     height: int
     width: int
@@ -93,13 +93,12 @@ def _check_positive(name: str, value: float) -> None:
 
 
 def build_affinity(lab: LabImage, sigma_c: float = 10.0) -> AffinityGraph:
-    """Gaussian color affinities between 8-neighbors, row-normalized.
+    """Graph Laplacian of the Gaussian color affinities between 8-neighbors.
 
-    w_ij = exp(-||lab_i - lab_j||^2 / (2 sigma_c^2)) for neighboring pixels,
-    then each row is divided by its sum.  The raw kernel is symmetric; the
-    normalization is what makes rows stochastic (and the matrix asymmetric).
-    Rows whose sum is below the smallest normal float (its reciprocal
-    overflows) stay zero.
+    K_ij = exp(-||lab_i - lab_j||^2 / (2 sigma_c^2)) for neighboring pixels.
+    Both directions of a link square the same differences, so K is exactly
+    symmetric, and so is L = diag(degrees) - K, with degrees the row sums
+    of K.
     """
     _check_positive("sigma_c", sigma_c)
     h, w = lab.height, lab.width
@@ -116,21 +115,20 @@ def build_affinity(lab: LabImage, sigma_c: float = 10.0) -> AffinityGraph:
         rows.append(src.ravel())
         cols.append(dst.ravel())
         vals.append(wgt.ravel())
-    raw = sp.csr_matrix(
+    kernel = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
-    degrees = np.asarray(raw.sum(axis=1)).ravel()
-    inv = np.divide(1.0, degrees, out=np.zeros_like(degrees), where=degrees >= _MIN_DEGREE)
-    normalized = sp.diags(inv) @ raw
-    return AffinityGraph(normalized.tocsr(), degrees, h, w, sigma_c)
+    degrees = np.asarray(kernel.sum(axis=1)).ravel()
+    return AffinityGraph((sp.diags(degrees) - kernel).tocsr(), degrees, h, w, sigma_c)
 
 
 def _jacobi_cg(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
                tol: float, max_iters: int) -> tuple[np.ndarray, bool, int, float]:
     """Preconditioned conjugate gradient for an SPD sparse system.
 
-    Stops when ||b - A x|| <= tol * ||b||.  The residual is recomputed from
-    scratch every 50 iterations to curb floating-point drift.
+    Stops when ||b - A x|| <= tol * ||b||, before the first iteration if
+    the start x0 already meets it.  The residual is recomputed from scratch
+    every 50 iterations to curb floating-point drift.
     """
     diag = A.diagonal()
     b_norm = float(np.linalg.norm(b))
@@ -138,6 +136,9 @@ def _jacobi_cg(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
         return np.zeros_like(b), True, 0, 0.0
     x = x0.copy()
     r = b - A @ x
+    res = float(np.linalg.norm(r))
+    if res <= tol * b_norm:
+        return x, True, 0, res / b_norm
     z = r / diag
     p = z.copy()
     rz = float(r @ z)
@@ -221,17 +222,17 @@ def colorization_reconstruct(lab: LabImage, sparse_depth: DepthMap,
                              graph: AffinityGraph | None = None) -> ColorizationResult:
     """Propagate sparse depth through color affinities to a dense map.
 
-    Solves d_i = sum_j w_ij d_j at every unknown pixel with sampled pixels
-    held fixed.  Multiplying those equations by the Gaussian row sums turns
-    them into the reduced Laplacian system L_UU x = Wraw_UC d_C, which is
-    symmetric positive definite; a Jacobi-preconditioned CG warm-started
-    from the nearest-sample reconstruction solves it.  Sampled pixels pass
-    through bit-exactly, and since the solution is a convex combination of
-    the samples it obeys their min/max (up to solver tolerance).  An
-    unknown pixel whose affinities all underflow (its degree is below the
-    smallest normal float) has no equation of its own; it takes its
-    nearest-sample value and is held fixed like a sample while the rest is
-    solved.
+    Every unknown pixel is held to the affinity-weighted average of its
+    neighbors, sum_j L_ij d_j = 0, with the rest fixed.  The unknown rows of
+    the graph's Laplacian give the reduced system L_UU x = -L_UF d_F, which
+    is exactly symmetric and positive definite; a Jacobi-preconditioned CG
+    warm-started from the nearest-sample reconstruction solves it.  Sampled
+    pixels pass through bit-exactly, and since the solution is a convex
+    combination of the samples it obeys their min/max (up to solver
+    tolerance).  An unknown pixel whose affinities all underflow (its degree
+    is below the smallest normal float) has no equation of its own; it takes
+    its nearest-sample value and is held fixed like a sample while the rest
+    is solved.
 
     ``graph``, when given, is ``build_affinity(lab, cfg.sigma_c)``, so that
     solves on one image can share it; the result is bit-identical to that
@@ -254,15 +255,14 @@ def colorization_reconstruct(lab: LabImage, sparse_depth: DepthMap,
 
     if graph is None:
         graph = build_affinity(lab, cfg.sigma_c)
-    raw = sp.diags(graph.degrees) @ graph.weights   # symmetric Gaussian kernel
-    lap = sp.diags(graph.degrees) - raw
     full = np.where(constrained, sparse_depth.depth.ravel(),
                     nn_reconstruct(sparse_depth).depth.ravel())
     unknown = ~constrained & (graph.degrees >= _MIN_DEGREE)
     fixed = ~unknown
     d_c = sparse_depth.depth.ravel()[constrained]
-    A = lap[unknown][:, unknown].tocsr()
-    b = np.asarray(raw[unknown][:, fixed] @ full[fixed]).ravel()
+    rows = graph.laplacian[unknown]
+    A = rows[:, unknown]
+    b = -(rows[:, fixed] @ full[fixed])
 
     x, converged, iters, residual = _jacobi_cg(A, b, full[unknown], cfg.tol, cfg.max_iters)
 

@@ -170,6 +170,42 @@ def test_reconstruct_colorization_with_narrow_bandwidth_on_random_colors(tmp_pat
     assert load_pgm16(out).valid.all()
 
 
+@pytest.fixture
+def flat_wall(tmp_path):
+    """A uniform grey 60x80 image of a wall at a constant 2,500 mm."""
+    scene_dir = tmp_path / "flat"
+    scene_dir.mkdir()
+    save_ppm(RgbImage(np.full((60, 80, 3), 128, dtype=np.uint8)), scene_dir / "000_rgb.ppm")
+    save_pgm16(DepthMap.from_depth(np.full((60, 80), 2500.0)), scene_dir / "000_depth.pgm")
+    return scene_dir
+
+
+def test_reconstruct_colorization_on_a_flat_wall(flat_wall, tmp_path, capsys):
+    """The nearest-sample start already solves a flat wall, so CG stops
+    before its first iteration rather than dividing by zero."""
+    rgb, mask = flat_wall / "000_rgb.ppm", tmp_path / "m.pgm"
+    assert cli(["sample", "--method", "grid", "--rate", "0.0025",
+                "--in", str(rgb), "--out", str(mask)]) == 0
+    sparse_path, out = tmp_path / "sparse.pgm", tmp_path / "dense.pgm"
+    save_pgm16(DepthMap.from_depth(np.where(load_mask(mask).bits, 2500.0, 0.0)), sparse_path)
+    capsys.readouterr()
+    assert cli(["reconstruct", "--method", "colorization", "--rgb", str(rgb),
+                "--in", str(sparse_path), "--out", str(out)]) == 0
+    assert "converged=true iterations=0 " in capsys.readouterr().out
+    assert np.array_equal(load_pgm16(out).depth, np.full((60, 80), 2500.0))
+
+
+def test_pipeline_colorizes_a_flat_wall_with_every_sampler(flat_wall, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert cli(["pipeline", "--in", str(flat_wall), "--out", str(out),
+                "--method", "random,grid,poisson,sps", "--recon", "colorization",
+                "--rate", "0.0025"]) == 0
+    assert "evaluated 4 cells over 1 scenes (0 failed)" in capsys.readouterr().out
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 4
+    assert all(",0.000000,0.000000,12," in row for row in rows)
+
+
 def test_reconstruct_rejects_mismatched_dimensions(scene_files, tmp_path, capsys):
     _, rgb, _ = scene_files
     other = gen_scene("planar-ramp", 8, 8, 1)

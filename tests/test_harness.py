@@ -359,7 +359,7 @@ def test_matrix_samples_each_distinct_mask_once(monkeypatch, workers):
     for row in rows:  # a shared mask scores exactly as a mask drawn for the cell alone
         si = int(row.scene)
         mask = evaluate.sample(row.sampler, scenes[si].rgb, 16, evaluate._cell_seed(row.seed, si),
-                               cfg.m, cfg.slic_iters)[0]
+                               cfg.m, cfg.slic_iters).mask
         alone = evaluate._evaluate_mask(mask, scenes[si], rgb_to_lab(scenes[si].rgb),
                                         row.reconstructor, cfg)
         assert row.error == "" and row.samples == 16

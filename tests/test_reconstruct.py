@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from depthsample.imagedata import DepthMap, LabImage, RgbImage, rgb_to_lab
+from depthsample import reconstruct
+from depthsample.imagedata import DepthMap, LabImage, RgbImage, apply_mask, rgb_to_lab
 from depthsample.reconstruct import (
     SolverConfig,
     bilateral_reconstruct,
@@ -12,6 +13,7 @@ from depthsample.reconstruct import (
     colorization_reconstruct,
     nn_reconstruct,
 )
+from depthsample.samplers import grid_mask, random_mask
 from depthsample.scenes import gen_scene
 
 
@@ -33,12 +35,14 @@ def _sparse(depth, mask):
 
 def test_affinity_uniform_image_spreads_evenly():
     g = build_affinity(_uniform_lab(4, 5))
-    w = g.weights.toarray()
-    assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
+    lap = g.laplacian.toarray()
+    assert np.allclose(lap.sum(axis=1), 0.0, atol=1e-12)
+    off = lap - np.diag(np.diag(lap))
+    assert np.all(off[off != 0] == -1.0)
     # corner pixels have 3 neighbors, edges 5, interior 8
-    assert np.allclose(sorted(w[0][w[0] > 0]), [1 / 3] * 3)
-    assert np.allclose(sorted(w[1][w[1] > 0]), [1 / 5] * 5)
-    assert np.allclose(sorted(w[6][w[6] > 0]), [1 / 8] * 8)
+    assert [np.count_nonzero(off[i]) for i in (0, 1, 6)] == [3, 5, 8]
+    assert np.array_equal(g.degrees[[0, 1, 6]], [3.0, 5.0, 8.0])
+    assert np.array_equal(np.diag(lap)[[0, 1, 6]], [3.0, 5.0, 8.0])
 
 
 def test_affinity_center_outlier_matches_hand_gaussian():
@@ -47,21 +51,57 @@ def test_affinity_center_outlier_matches_hand_gaussian():
     lab = rgb_to_lab(RgbImage(pix))
     sigma = 10.0
     g = build_affinity(lab, sigma_c=sigma)
-    w_center = g.weights.toarray()[4]
+    k_center = -g.laplacian.toarray()[4]
     diff2 = float(np.sum((lab.values[1, 1] - lab.values[0, 0]) ** 2))
-    raw = np.exp(-diff2 / (2 * sigma * sigma))
-    want = raw / (8 * raw)  # all 8 neighbors are equally dissimilar
-    neigh = w_center[w_center > 0]
+    want = np.exp(-diff2 / (2 * sigma * sigma))  # all 8 neighbors are equally dissimilar
+    neigh = k_center[k_center > 0]
     assert len(neigh) == 8
     assert np.allclose(neigh, want, rtol=1e-10)
 
 
 def test_affinity_positive_and_structurally_symmetric():
     g = build_affinity(_random_lab(5, 6, 1))
-    w = g.weights.tocoo()
-    assert (w.data > 0).all()
-    links = set(zip(w.row.tolist(), w.col.tolist()))
+    lap = g.laplacian.tocoo()
+    off = lap.row != lap.col
+    assert (lap.data[off] < 0).all()
+    links = set(zip(lap.row.tolist(), lap.col.tolist()))
     assert all((j, i) in links for i, j in links)
+
+
+def test_cg_receives_an_exactly_symmetric_system(monkeypatch):
+    """Both directions of a link square the same color differences, so the
+    kernel, its Laplacian and the reduced system CG solves are symmetric bit
+    for bit, and CG's symmetric recurrences hold for the matrix it is given."""
+    scene = gen_scene("textured", 120, 160, 1)
+    lab = rgb_to_lab(scene.rgb)
+    systems = []
+    solve = reconstruct._jacobi_cg
+
+    def spy(A, *args):
+        systems.append(A)
+        return solve(A, *args)
+
+    monkeypatch.setattr(reconstruct, "_jacobi_cg", spy)
+    graph = build_affinity(lab)
+    colorization_reconstruct(lab, apply_mask(scene.depth, random_mask(120, 160, 48, 0)),
+                             graph=graph)
+    (A,) = systems
+    assert (A != A.T).nnz == 0
+    assert (graph.laplacian != graph.laplacian.T).nnz == 0
+    row_sums = np.asarray(graph.laplacian.sum(axis=1)).ravel()
+    assert np.all(np.abs(row_sums) <= 1e-12 * graph.degrees)
+
+
+def test_a_flat_wall_is_solved_by_the_warm_start():
+    """On a uniform image with constant depth the nearest-sample start is
+    already the solution: CG returns it after no iteration rather than
+    dividing by p @ Ap = 0."""
+    lab = _uniform_lab(60, 80)
+    flat = DepthMap.from_depth(np.full((60, 80), 2500.0))
+    res = colorization_reconstruct(lab, apply_mask(flat, grid_mask(60, 80, 12)))
+    assert res.converged
+    assert res.iterations == 0
+    assert np.array_equal(res.depth.depth, flat.depth)
 
 
 def test_affinity_rejects_bad_bandwidth():
@@ -245,7 +285,7 @@ def test_pixels_whose_affinities_underflow_take_the_nearest_sample(sigma_c):
     mask = rng.random((12, 16)) < 0.2
     sparse = _sparse(depth, mask)
     graph = build_affinity(lab, sigma_c)
-    assert np.isfinite(graph.weights.data).all()
+    assert np.isfinite(graph.laplacian.data).all()
     isolated = (graph.degrees < np.finfo(np.float64).tiny).reshape(12, 16) & ~mask
     assert isolated.any()
 
