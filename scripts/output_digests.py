@@ -28,7 +28,12 @@ at the benchmark's refine budget (48 samples, 200 steps); a flat wall (a
 uniform grey 60x80 image at a constant 2,500 mm, where the nearest-sample
 start already solves colorization) through ``pipeline --recon colorization``
 with every sampler and through ``reconstruct --method colorization`` on a
-``grid`` mask; ``grad-check`` over 200 cases; the jitter and staleness
+``grid`` mask; ``ssa-refined`` on two 60x80 scenes whose ground truth has
+no valid depth in one superpixel (``piecewise-constant`` seed 0 at
+``--rate 0.01`` without superpixel 29, and ``planar-ramp`` seed 3 at
+``--rate 0.0025`` without superpixel 5, whose sample's 5x5 window holds no
+valid depth either), with the scenes, the mask, ``--samples-out`` and the
+command log of each; ``grad-check`` over 200 cases; the jitter and staleness
 experiment rows at full precision, with jitter also over seeds 0-2 (so that
 range 0 shares one mask among three cells) and staleness also on a static
 four-frame sequence at delays 0 and 2 (so that every delay shares one mask);
@@ -183,6 +188,22 @@ def main(out: Path) -> None:
     run(out, "reconstruct-flat-colorization",
         ["reconstruct", "--method", "colorization", "--in", str(out / "flat-sparse.pgm"),
          "--rgb", str(flat_dir / "000_rgb.ppm"), "--out", str(out / "flat-colorization-dense.pgm")])
+    holed_dir = out / "scenes-holed"
+    holed_dir.mkdir()
+    for kind, seed, rate, hole in (("piecewise-constant", 0, "0.01", 29),
+                                   ("planar-ramp", 3, "0.0025", 5)):
+        scene = scenes.gen_scene(kind, 60, 80, seed)
+        n = samplers.target_count(float(rate), 60, 80)
+        labels = superpixel.sps_sample(scene.rgb, n, return_segmentation=True)[1].labels
+        name = f"{kind}-hole{hole}"
+        rgb, gt = holed_dir / f"{name}_rgb.ppm", holed_dir / f"{name}_depth.pgm"
+        imagedata.save_ppm(scene.rgb, rgb)
+        imagedata.save_pgm16(imagedata.DepthMap.from_depth(
+            np.where(labels == hole, 0.0, scene.depth.depth)), gt)
+        run(out, f"sample-{name}-ssa-refined",
+            ["sample", "--method", "ssa-refined", "--rate", rate, "--in", str(rgb),
+             "--gt", str(gt), "--out", str(out / f"{name}-ssa-refined-mask.pgm"),
+             "--samples-out", str(out / f"{name}-ssa-refined-locs.csv")])
     run(out, "grad-check", ["grad-check", "--cases", "200"])
 
     cfg = evaluate.ExperimentConfig(samplers=("random", "grid", "poisson", "sps"),

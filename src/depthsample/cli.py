@@ -23,7 +23,7 @@ from .imagedata import (DepthMap, SampleSet, load_pgm16, load_ppm, rgb_to_lab, s
 from .reconstruct import (SolverConfig, bilateral_reconstruct,
                           colorization_reconstruct, nn_reconstruct)
 from .samplers import locations_to_mask, target_count
-from .ssa import SsaConfig, TemperatureSchedule, gradient_check, refine_locations, ssa_read
+from .ssa import SsaConfig, TemperatureSchedule, gradient_check, refine_locations
 
 
 class _Usage(Exception):
@@ -177,7 +177,7 @@ def _distinct(conv):
     return convert
 
 
-def _opt(parser, registry, name, conv, default, help_text, required=False):
+def _opt(parser, registry, name, conv, default, help_text):
     dest = name.lstrip("-").replace("-", "_")
     if dest == "in":  # avoid the Python keyword
         dest = "infile"
@@ -186,7 +186,7 @@ def _opt(parser, registry, name, conv, default, help_text, required=False):
                             default=None, help=help_text)
     else:
         parser.add_argument(name, dest=dest, type=conv, default=None, help=help_text)
-    registry[dest] = (conv, _REQUIRED if required else default, name)
+    registry[dest] = (conv, default, name)
 
 
 _REQUIRED = object()
@@ -220,10 +220,12 @@ def _cmd_sample(args) -> int:
         gt = load_pgm16(args.gt)
         if (gt.height, gt.width) != (h, w):
             raise ValueError("ground-truth depth dimensions differ from the image")
-        targets = _superpixel_depth_targets(seg.labels, gt, locations, cfg)
-        result = refine_locations(gt, locations, targets, cfg,
-                                  lr=args.lr, steps=args.refine_steps)
-        locations = result.locations
+        targets, has_depth = _superpixel_depth_targets(seg.labels, gt, len(locations))
+        result = refine_locations(gt, SampleSet(locations.locations[has_depth]),
+                                  targets[has_depth], cfg, lr=args.lr, steps=args.refine_steps)
+        moved = locations.locations.copy()
+        moved[has_depth] = result.locations.locations
+        locations = SampleSet(moved)
         if result.diverged:
             print("refinement diverged; using best locations seen", file=sys.stderr)
         mask = locations_to_mask(locations, h, w)
@@ -240,30 +242,25 @@ def _cmd_sample(args) -> int:
 
 
 def _superpixel_depth_targets(labels: np.ndarray, gt: DepthMap,
-                              locations: SampleSet, cfg: SsaConfig) -> np.ndarray:
-    """Per-superpixel refinement targets: mean valid depth of each region.
-
-    A region with no valid depth keeps its current soft-sampled value (at
-    ``cfg.temperature``), which makes the refinement a no-op there.
+                              n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-superpixel refinement targets: the mean valid depth of each of the
+    ``n`` regions, and which regions have any valid depth to average.  A
+    sample whose region has none has no target and is not refined.
     """
-    n = len(locations)
     flat = labels.ravel()
     vmask = gt.valid.ravel()
     sums = np.bincount(flat[vmask], weights=gt.depth.ravel()[vmask], minlength=n)
     counts = np.bincount(flat[vmask], minlength=n)
-    targets = sums / np.maximum(counts, 1)
-    empty = counts == 0
-    targets[empty] = ssa_read(gt, locations.locations[empty], cfg).values
-    return targets
+    return sums / np.maximum(counts, 1), counts > 0
 
 
 def _cmd_reconstruct(args) -> int:
+    if args.method != "nearest" and args.rgb is None:
+        raise _Usage(f"--rgb is required for --method {args.method}")
     sparse = load_pgm16(args.infile)
     if args.method == "nearest":
         dense = nn_reconstruct(sparse)
     else:
-        if args.rgb is None:
-            raise _Usage(f"--rgb is required for --method {args.method}")
         rgb = load_ppm(args.rgb)
         if (rgb.height, rgb.width) != (sparse.height, sparse.width):
             raise ValueError("image and depth dimensions differ")
@@ -384,10 +381,10 @@ def _build_parser():
 
     p, reg = command("sample", "compute a sampling mask from an RGB image")
     _opt(p, reg, "--method", _choice((*SAMPLERS, "ssa-refined")), _REQUIRED,
-         "random | grid | poisson | sps | ssa-refined", required=True)
-    _opt(p, reg, "--rate", _rate, _REQUIRED, "sampling rate in (0, 1], e.g. 0.0025", required=True)
-    _opt(p, reg, "--in", str, _REQUIRED, "input RGB image (PPM)", required=True)
-    _opt(p, reg, "--out", str, _REQUIRED, "output mask (8-bit PGM)", required=True)
+         " | ".join((*SAMPLERS, "ssa-refined")))
+    _opt(p, reg, "--rate", _rate, _REQUIRED, "sampling rate in (0, 1], e.g. 0.0025")
+    _opt(p, reg, "--in", str, _REQUIRED, "input RGB image (PPM)")
+    _opt(p, reg, "--out", str, _REQUIRED, "output mask (8-bit PGM)")
     _opt(p, reg, "--gt", str, None, "ground-truth depth (16-bit PGM); required for ssa-refined")
     _opt(p, reg, "--samples-out", str, None, "also write continuous locations as CSV")
     _opt(p, reg, "--seg-out", str, None, "dump superpixel labels as 16-bit PGM")
@@ -403,26 +400,25 @@ def _build_parser():
     _opt(p, reg, "--lr", _lr, 1e-5, "learning rate for ssa-refined, finite and above 0")
 
     p, reg = command("reconstruct", "densify a sparse depth map")
-    _opt(p, reg, "--method", _choice(RECONSTRUCTORS), _REQUIRED,
-         "colorization | nearest | bilateral", required=True)
-    _opt(p, reg, "--in", str, _REQUIRED, "sparse depth (16-bit PGM)", required=True)
-    _opt(p, reg, "--out", str, _REQUIRED, "output dense depth (16-bit PGM)", required=True)
+    _opt(p, reg, "--method", _choice(RECONSTRUCTORS), _REQUIRED, " | ".join(RECONSTRUCTORS))
+    _opt(p, reg, "--in", str, _REQUIRED, "sparse depth (16-bit PGM)")
+    _opt(p, reg, "--out", str, _REQUIRED, "output dense depth (16-bit PGM)")
     _opt(p, reg, "--rgb", str, None, "guiding RGB image (PPM)")
-    _opt(p, reg, "--sigma-c", _sigma_c, 10.0, "color affinity bandwidth, finite and above 0")
+    _opt(p, reg, "--sigma-c", _sigma_c, SolverConfig.sigma_c, "color affinity bandwidth, finite and above 0")
     _opt(p, reg, "--sigma-s", _sigma_s, None,
          "bilateral spatial sigma, finite and above 0 (default: half sample spacing)")
     _opt(p, reg, "--radius", _radius, None,
          "bilateral radius, finite and above 0 (default: 3 spatial sigmas)")
-    _opt(p, reg, "--tol", _tol, 1e-6, "solver relative residual tolerance, finite and above 0")
-    _opt(p, reg, "--max-iters", _max_iters, 20000, "solver iteration cap, at least 0")
+    _opt(p, reg, "--tol", _tol, SolverConfig.tol, "solver relative residual tolerance, finite and above 0")
+    _opt(p, reg, "--max-iters", _max_iters, SolverConfig.max_iters, "solver iteration cap, at least 0")
 
     p, reg = command("eval", "compare an estimated depth map against ground truth")
-    _opt(p, reg, "--est", str, _REQUIRED, "estimated depth (16-bit PGM)", required=True)
-    _opt(p, reg, "--gt", str, _REQUIRED, "ground-truth depth (16-bit PGM)", required=True)
+    _opt(p, reg, "--est", str, _REQUIRED, "estimated depth (16-bit PGM)")
+    _opt(p, reg, "--gt", str, _REQUIRED, "ground-truth depth (16-bit PGM)")
 
     p, reg = command("pipeline", "sample + reconstruct + evaluate a scene directory")
-    _opt(p, reg, "--in", str, _REQUIRED, "scene directory (NNN_rgb.ppm / NNN_depth.pgm)", required=True)
-    _opt(p, reg, "--out", str, _REQUIRED, "aggregate report CSV", required=True)
+    _opt(p, reg, "--in", str, _REQUIRED, "scene directory (NNN_rgb.ppm / NNN_depth.pgm)")
+    _opt(p, reg, "--out", str, _REQUIRED, "aggregate report CSV")
     _opt(p, reg, "--method", _distinct(_choices(SAMPLERS)), ("sps",),
          "comma-separated distinct samplers")
     _opt(p, reg, "--recon", _distinct(_choices(RECONSTRUCTORS)), ("colorization",),
@@ -437,9 +433,9 @@ def _build_parser():
     _opt(p, reg, "--workers", _workers, 1, "parallel evaluation threads, at least 1")
     _opt(p, reg, "--m", _compactness, 1.0, "superpixel compactness weight, finite and at least 0")
     _opt(p, reg, "--iters", _sweeps, 10, "superpixel refinement sweeps, at least 0")
-    _opt(p, reg, "--sigma-c", _sigma_c, 10.0, "color affinity bandwidth, finite and above 0")
-    _opt(p, reg, "--tol", _tol, 1e-6, "solver relative residual tolerance, finite and above 0")
-    _opt(p, reg, "--max-iters", _max_iters, 20000, "solver iteration cap, at least 0")
+    _opt(p, reg, "--sigma-c", _sigma_c, SolverConfig.sigma_c, "color affinity bandwidth, finite and above 0")
+    _opt(p, reg, "--tol", _tol, SolverConfig.tol, "solver relative residual tolerance, finite and above 0")
+    _opt(p, reg, "--max-iters", _max_iters, SolverConfig.max_iters, "solver iteration cap, at least 0")
 
     p, reg = command("grad-check", "verify soft-sampling gradients against finite differences")
     _opt(p, reg, "--cases", _cases, 1000, "number of randomized cases, at least 1")
@@ -454,7 +450,7 @@ def _build_parser():
          "maximum allowed relative error, finite and above 0")
 
     p, reg = command("gen-scenes", "write synthetic RGB-D scene pairs")
-    _opt(p, reg, "--out", str, _REQUIRED, "output directory", required=True)
+    _opt(p, reg, "--out", str, _REQUIRED, "output directory")
     _opt(p, reg, "--count", _count, 10, "number of scenes, at least 1")
     _opt(p, reg, "--kinds", _choices(scenes.SCENE_KINDS), scenes.SCENE_KINDS,
          "comma-separated scene kinds, cycled")

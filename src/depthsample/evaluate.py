@@ -77,9 +77,9 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (0,)
     m: float = 1.0
     slic_iters: int = 10
-    sigma_c: float = 10.0
-    tol: float = 1e-6
-    max_iters: int = 20000
+    sigma_c: float = SolverConfig.sigma_c
+    tol: float = SolverConfig.tol
+    max_iters: int = SolverConfig.max_iters
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -461,10 +461,6 @@ def _trend_rows(key: str, cells: list[tuple], results: list[tuple]) -> list[dict
     return rows
 
 
-TEMPORAL_COLUMNS = ["delta_t", "sampler", "reconstructor", "rate", "seed",
-                    "mae_mm", "rmse_mm"]
-
-
 def temporal_experiment(frames: list[SyntheticScene], delta_ts: tuple[int, ...],
                         cfg: ExperimentConfig) -> list[dict]:
     """Sampling-mask staleness: the mask is computed from frame t - dt.
@@ -498,10 +494,6 @@ def temporal_experiment(frames: list[SyntheticScene], delta_ts: tuple[int, ...],
         (t, recon, (sampler, t - dt, target_count(rate, h, w), _cell_seed(seed, t)), _OWN_MASK)
         for t in range(start, len(frames)) for dt, sampler, recon, rate, seed in cells], cfg)
     return _trend_rows("delta_t", cells, results)
-
-
-JITTER_COLUMNS = ["jitter_px", "sampler", "reconstructor", "rate", "seed",
-                  "mae_mm", "rmse_mm"]
 
 
 def _jitter(k: float, seed: int, si: int, n: int, h: int, w: int,

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -243,6 +244,8 @@ def rgb_to_lab(img: RgbImage) -> LabImage:
 # Netpbm parsing helpers
 # ---------------------------------------------------------------------------
 
+PathLike = Union[str, Path]
+
 
 def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     """Return the next header token and the position just past it."""
@@ -265,70 +268,71 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     return buf[start:pos], pos
 
 
-def _parse_header(buf: bytes, magic: bytes, path: str) -> tuple[int, int, int, int]:
-    """Parse a Netpbm header, returning (width, height, maxval, payload offset)."""
+def _read_netpbm(path: PathLike, dtype: str, channels: tuple[int, ...],
+                 maxval_error: str) -> tuple[np.ndarray, int]:
+    """Read a binary Netpbm file of ``dtype`` samples: P6 with ``channels``
+    (3,), P5 with (), and maxval the largest value of ``dtype``.  Returns the
+    (H, W, *channels) samples and the payload's byte offset; a header that
+    names another maxval raises FormatError(``maxval_error``)."""
+    buf, name = Path(path).read_bytes(), str(path)
+    magic = b"P6" if channels else b"P5"
     tok, pos = _next_token(buf, 0)
     if tok != magic:
-        raise FormatError(f"{path}: expected magic {magic.decode()}, found {tok.decode(errors='replace')!r}", 0)
+        raise FormatError(f"{name}: expected magic {magic.decode()}, found {tok.decode(errors='replace')!r}", 0)
     fields = []
-    for name in ("width", "height", "maxval"):
+    for field in ("width", "height", "maxval"):
         at = pos
         tok, pos = _next_token(buf, pos)
         if not tok.isdigit():
-            raise FormatError(f"{path}: non-numeric {name} field {tok.decode(errors='replace')!r}", at)
+            raise FormatError(f"{name}: non-numeric {field} field {tok.decode(errors='replace')!r}", at)
         fields.append(int(tok))
     width, height, maxval = fields
     if width < 1 or height < 1:
-        raise FormatError(f"{path}: image dimensions must be positive, got {width}x{height}", 0)
+        raise FormatError(f"{name}: image dimensions must be positive, got {width}x{height}", 0)
     # exactly one whitespace byte separates the header from the payload
     if pos >= len(buf):
-        raise TruncationError(f"{path}: file ends before the payload", pos)
+        raise TruncationError(f"{name}: file ends before the payload", pos)
     if buf[pos] not in _WHITESPACE:
-        raise FormatError(f"{path}: expected a single whitespace byte before the payload", pos)
-    return width, height, maxval, pos + 1
-
-
-def _payload(buf: bytes, start: int, nbytes: int, path: str) -> bytes:
+        raise FormatError(f"{name}: expected a single whitespace byte before the payload", pos)
+    if maxval != np.iinfo(dtype).max:
+        raise FormatError(f"{name}: {maxval_error}, got {maxval}", 0)
+    start, shape = pos + 1, (height, width, *channels)
+    nbytes = np.dtype(dtype).itemsize * math.prod(shape)
     if len(buf) - start < nbytes:
         raise TruncationError(
-            f"{path}: payload needs {nbytes} bytes from byte {start} but the file ends",
+            f"{name}: payload needs {nbytes} bytes from byte {start} but the file ends",
             len(buf),
         )
-    return buf[start : start + nbytes]
+    return np.frombuffer(buf[start:start + nbytes], dtype).reshape(shape), start
+
+
+def _write_netpbm(samples: np.ndarray, path: PathLike) -> None:
+    """Write (H, W, 3) samples as P6 and (H, W) samples as P5, with a canonical
+    header whose maxval is the largest value of the samples' dtype."""
+    h, w = samples.shape[:2]
+    magic = "P6" if samples.ndim == 3 else "P5"
+    header = f"{magic}\n{w} {h}\n{np.iinfo(samples.dtype).max}\n".encode("ascii")
+    Path(path).write_bytes(header + samples.tobytes())
 
 
 # ---------------------------------------------------------------------------
 # Netpbm readers and writers
 # ---------------------------------------------------------------------------
 
-PathLike = Union[str, Path]
-
 
 def load_ppm(path: PathLike) -> RgbImage:
     """Read an 8-bit binary PPM (P6) image."""
-    buf = Path(path).read_bytes()
-    w, h, maxval, start = _parse_header(buf, b"P6", str(path))
-    if maxval != 255:
-        raise FormatError(f"{path}: only maxval 255 is supported, got {maxval}", 0)
-    raw = _payload(buf, start, 3 * w * h, str(path))
-    px = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
-    return RgbImage(px)
+    return RgbImage(_read_netpbm(path, "u1", (3,), "only maxval 255 is supported")[0])
 
 
 def save_ppm(img: RgbImage, path: PathLike) -> None:
     """Write an 8-bit binary PPM (P6) with a canonical header."""
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + img.pixels.tobytes())
+    _write_netpbm(img.pixels, path)
 
 
 def load_pgm16(path: PathLike) -> DepthMap:
     """Read a 16-bit big-endian PGM (P5) depth map; sample 0 means invalid."""
-    buf = Path(path).read_bytes()
-    w, h, maxval, start = _parse_header(buf, b"P5", str(path))
-    if maxval != 65535:
-        raise FormatError(f"{path}: expected 16-bit depth (maxval 65535), got {maxval}", 0)
-    raw = _payload(buf, start, 2 * w * h, str(path))
-    samples = np.frombuffer(raw, dtype=">u2").reshape(h, w).astype(np.float64)
+    samples = _read_netpbm(path, ">u2", (), "expected 16-bit depth (maxval 65535)")[0].astype(np.float64)
     return DepthMap(samples, samples > 0)
 
 
@@ -348,19 +352,12 @@ def write_pgm16(values: np.ndarray, path: PathLike) -> None:
         raise ValueError(f"expected a 2-D array, got shape {v.shape}")
     if np.any(v < 0) or np.any(v > 65535):
         raise ValueError("values outside the 16-bit range")
-    h, w = v.shape
-    header = f"P5\n{w} {h}\n65535\n".encode("ascii")
-    Path(path).write_bytes(header + v.astype(">u2").tobytes())
+    _write_netpbm(v.astype(">u2"), path)
 
 
 def load_mask(path: PathLike) -> SamplingMask:
     """Read an 8-bit PGM (P5) mask where 255 marks sampled pixels."""
-    buf = Path(path).read_bytes()
-    w, h, maxval, start = _parse_header(buf, b"P5", str(path))
-    if maxval != 255:
-        raise FormatError(f"{path}: expected an 8-bit mask (maxval 255), got {maxval}", 0)
-    raw = _payload(buf, start, w * h, str(path))
-    samples = np.frombuffer(raw, dtype=np.uint8).reshape(h, w)
+    samples, start = _read_netpbm(path, "u1", (), "expected an 8-bit mask (maxval 255)")
     bad = (samples != 0) & (samples != 255)
     if np.any(bad):
         raise FormatError(f"{path}: mask samples must be 0 or 255", start + int(np.flatnonzero(bad.ravel())[0]))
@@ -369,8 +366,7 @@ def load_mask(path: PathLike) -> SamplingMask:
 
 def save_mask(mask: SamplingMask, path: PathLike) -> None:
     """Write a sampling mask as 8-bit PGM (P5), 255 = sampled."""
-    header = f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + np.where(mask.bits, 255, 0).astype(np.uint8).tobytes())
+    _write_netpbm(np.where(mask.bits, 255, 0).astype(np.uint8), path)
 
 
 def save_samples(samples: SampleSet, path: PathLike) -> None:

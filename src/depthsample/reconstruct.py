@@ -92,7 +92,7 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def build_affinity(lab: LabImage, sigma_c: float = 10.0) -> AffinityGraph:
+def build_affinity(lab: LabImage, sigma_c: float = SolverConfig.sigma_c) -> AffinityGraph:
     """Graph Laplacian of the Gaussian color affinities between 8-neighbors.
 
     K_ij = exp(-||lab_i - lab_j||^2 / (2 sigma_c^2)) for neighboring pixels.
@@ -274,7 +274,7 @@ def colorization_reconstruct(lab: LabImage, sparse_depth: DepthMap,
 
 
 def bilateral_reconstruct(lab: LabImage, sparse_depth: DepthMap,
-                          sigma_s: float | None = None, sigma_c: float = 10.0,
+                          sigma_s: float | None = None, sigma_c: float = SolverConfig.sigma_c,
                           radius: float | None = None) -> DepthMap:
     """Joint bilateral splat of the samples: spatial times color Gaussian.
 

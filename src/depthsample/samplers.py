@@ -227,18 +227,15 @@ def _ring_offsets(rho: int) -> list[tuple[int, int]]:
     return seq
 
 
-def locations_to_mask(samples: SampleSet | np.ndarray, height: int,
-                      width: int) -> SamplingMask:
+def locations_to_mask(samples: SampleSet, height: int, width: int) -> SamplingMask:
     """Rasterize continuous sample locations into a binary mask.
 
     Each location rounds to its nearest pixel (ties toward the smaller
     index).  When two locations land on the same pixel, the later one moves
     to the nearest free pixel found by searching Chebyshev rings of growing
     radius, so the mask always holds exactly ``len(samples)`` pixels.
-    ``samples`` may be a :class:`SampleSet` or a bare (N, 2) array of (x, y).
     """
-    loc = samples.locations if isinstance(samples, SampleSet) else \
-        np.asarray(samples, dtype=np.float64)
+    loc = samples.locations
     n = len(loc)
     _check_capacity(n, height, width)
     if np.any(loc[:, 0] < 0) or np.any(loc[:, 0] > width - 1) \

@@ -96,14 +96,6 @@ class SoftAssociation:
     seed_ids: np.ndarray   # (H, W, 9) int32
     n_superpixels: int
 
-    @property
-    def height(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.weights.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class SuperpixelSummary:

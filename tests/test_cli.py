@@ -135,6 +135,31 @@ def test_ssa_refined_rasterises_only_the_refined_locations(scene_files, tmp_path
     assert len(calls) == 1
 
 
+
+@pytest.mark.parametrize("kind, seed, rate, hole", [
+    ("piecewise-constant", 0, "0.01", 29),  # the sample would be pulled to (0, 0)
+    ("planar-ramp", 3, "0.0025", 5),  # the window holds no valid depth either
+])
+def test_ssa_refined_leaves_a_sample_without_valid_depth_where_sps_put_it(kind, seed, rate, hole,
+                                                                          tmp_path):
+    """A superpixel whose ground truth has no valid depth gives its sample no
+    target, so refinement leaves that sample at its sps location."""
+    scene = gen_scene(kind, 60, 80, seed)
+    rgb, gt = tmp_path / "rgb.ppm", tmp_path / "gt.pgm"
+    save_ppm(scene.rgb, rgb)
+    sps_locs, seg = tmp_path / "sps.csv", tmp_path / "seg.pgm"
+    assert cli(["sample", "--method", "sps", "--rate", rate, "--in", str(rgb),
+                "--out", str(tmp_path / "sps.pgm"), "--samples-out", str(sps_locs),
+                "--seg-out", str(seg)]) == 0
+    labels = load_pgm16(seg).depth
+    save_pgm16(DepthMap.from_depth(np.where(labels == hole, 0.0, scene.depth.depth)), gt)
+    refined_locs = tmp_path / "refined.csv"
+    assert cli(["sample", "--method", "ssa-refined", "--rate", rate, "--in", str(rgb),
+                "--gt", str(gt), "--out", str(tmp_path / "refined.pgm"),
+                "--samples-out", str(refined_locs)]) == 0
+    before, after = load_samples(sps_locs).locations, load_samples(refined_locs).locations
+    assert np.array_equal(after[hole], before[hole])
+
 def test_reconstruct_nearest_round_trip(scene_files, tmp_path):
     scene, rgb, depth = scene_files
     sparse_path = tmp_path / "sparse.pgm"
@@ -403,6 +428,8 @@ def test_pipeline_exits_2_when_a_shared_mask_fails(tmp_path, capsys, monkeypatch
      "nearest is listed twice in nearest,colorization,nearest"),
     (["pipeline", "--rate", "0.01,0.010"], "0.01 is listed twice in 0.01,0.010"),
     (["pipeline", "--seeds", "0,0"], "0 is listed twice in 0,0"),
+    (["reconstruct", "--method", "colorization"], "--rgb is required for --method colorization"),
+    (["reconstruct", "--method", "bilateral"], "--rgb is required for --method bilateral"),
 ])
 def test_bad_configuration_is_a_usage_error_before_any_file_is_read(argv, reason, tmp_path,
                                                                      capsys):
@@ -466,6 +493,39 @@ def test_bad_window_from_a_config_file_is_a_usage_error(command, lines, tmp_path
     assert captured.err == "usage error: window must be an odd size of at least 3, got 4\n"
     assert captured.out == "" and not out.exists()
 
+
+
+@pytest.mark.parametrize("value, timed", [("true", True), ("no", False)])
+def test_pipeline_timing_from_a_config_file(value, timed, scene_files, tmp_path):
+    cells = tmp_path / "cells.csv"
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(f"in = {tmp_path}\nout = {tmp_path / 'r.csv'}\ncells_out = {cells}\n"
+                   f"method = grid\nrate = 0.05\ntiming = {value}\n")
+    assert cli(["pipeline", "--config", str(cfg)]) == 0
+    times = [row.split(",")[8] for row in cells.read_text().splitlines()[1:]]
+    assert (times != ["0.000"]) == timed
+
+
+def test_pipeline_rejects_a_timing_value_that_is_not_a_boolean(tmp_path, capsys):
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(f"in = {tmp_path}\nout = {tmp_path / 'r.csv'}\ntiming = maybe\n")
+    assert cli(["pipeline", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: config key timing: expected a boolean, got 'maybe'\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_pipeline_rejects_a_scene_path_that_is_not_a_directory(scene_files, tmp_path, capsys):
+    _, rgb, _ = scene_files
+    assert cli(["pipeline", "--in", str(rgb), "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {rgb} is not a directory\n"
+
+
+def test_pipeline_rejects_a_scene_without_its_depth_file(scene_files, tmp_path, capsys):
+    _, _, depth = scene_files
+    depth.unlink()
+    assert cli(["pipeline", "--in", str(tmp_path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err == f"error: missing depth file for scene 000: {depth}\n"
 
 def test_pipeline_rejects_empty_scene_dir(tmp_path, capsys):
     empty = tmp_path / "nothing"

@@ -20,6 +20,7 @@ from depthsample.imagedata import (
     save_pgm16,
     save_ppm,
     save_samples,
+    write_pgm16,
 )
 
 
@@ -129,6 +130,43 @@ def test_mask_round_trip(tmp_path):
     assert np.array_equal(back.bits, m.bits)
 
 
+@pytest.mark.parametrize("load, data, error, message, offset", [
+    (load_ppm, b"P6\n2 ", TruncationError, "file ends inside the header", 5),
+    (load_ppm, b"P6\n2 x\n255\n", FormatError, "{path}: non-numeric height field 'x'", 4),
+    (load_pgm16, b"P5\n0 2\n65535\n", FormatError,
+     "{path}: image dimensions must be positive, got 0x2", 0),
+    (load_mask, b"P5\n1 1\n255", TruncationError, "{path}: file ends before the payload", 10),
+    (load_mask, b"P5\n1 1\n255#\x00", FormatError,
+     "{path}: expected a single whitespace byte before the payload", 10),
+    (load_ppm, b"P6\n1 1\n65535\n" + bytes(6), FormatError,
+     "{path}: only maxval 255 is supported, got 65535", 0),
+    (load_mask, b"P5\n1 1\n65535\n" + bytes(2), FormatError,
+     "{path}: expected an 8-bit mask (maxval 255), got 65535", 0),
+    (load_mask, b"P5\n3 1\n255\n\x00\xff\x07", FormatError,
+     "{path}: mask samples must be 0 or 255", 13),
+])
+def test_netpbm_reader_errors_name_the_byte_offset(load, data, error, message, offset, tmp_path):
+    p = tmp_path / "bad.pnm"
+    p.write_bytes(data)
+    with pytest.raises(error) as exc:
+        load(p)
+    assert str(exc.value) == f"{message.format(path=p)} (byte offset {offset})"
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.zeros(3, dtype=np.uint16), "expected a 2-D array, got shape (3,)"),
+    (np.array([[-1, 0]]), "values outside the 16-bit range"),
+    (np.array([[0, 65536]]), "values outside the 16-bit range"),
+])
+def test_write_pgm16_rejects_bad_arrays(values, message, tmp_path):
+    p = tmp_path / "x.pgm"
+    with pytest.raises(ValueError) as exc:
+        write_pgm16(values, p)
+    assert str(exc.value) == message
+    assert not p.exists()
+
+
 # ---------------------------------------------------------------- CSV samples
 
 def test_sample_csv_formatting(tmp_path):
@@ -144,6 +182,15 @@ def test_sample_csv_round_trip(tmp_path):
     save_samples(SampleSet(locs), p)
     back = load_samples(p)
     assert np.allclose(back.locations, locs, atol=1e-6)
+
+
+@pytest.mark.parametrize("text", ["", "a,b\n1,2\n"])
+def test_load_samples_rejects_a_file_without_the_header(text, tmp_path):
+    p = tmp_path / "s.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load_samples(p)
+    assert str(exc.value) == f"{p}: expected a CSV with header 'x,y'"
 
 
 # ---------------------------------------------------------------- Lab
