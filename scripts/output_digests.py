@@ -39,7 +39,8 @@ range 0 shares one mask among three cells) and staleness also on a static
 four-frame sequence at delays 0 and 2 (so that every delay shares one mask);
 the jitter and staleness runs again with ``workers=2`` as ``jitter-w2.txt``
 and ``temporal-w2.txt``, whose hashes must equal those of ``jitter.txt`` and
-``temporal.txt``.
+``temporal.txt``; the ``--help`` text of the parser and of each subcommand
+at a fixed ``COLUMNS``; and ``sorted(depthsample.__all__)``.
 The exit code, stdout and stderr of every command are outputs too, with
 OUTDIR written as ``<out>`` so that listings from different directories
 compare equal.
@@ -50,11 +51,13 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
+import depthsample
 from depthsample import cli, evaluate, imagedata, reconstruct, samplers, scenes, superpixel
 
 HEIGHT, WIDTH = 36, 48
@@ -65,7 +68,10 @@ def run(out: Path, name: str, argv: list[str]) -> None:
     """Run one command line and keep its exit code, stdout and stderr."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.cli(argv)
+        try:
+            code = cli.cli(argv)
+        except SystemExit as exc:  # argparse exits after printing --help
+            code = exc.code
     log = f"exit {code}\n{stdout.getvalue()}{stderr.getvalue()}"
     (out / f"{name}.log").write_text(log.replace(str(out), "<out>"))
 
@@ -79,6 +85,10 @@ def write_nearest(out: Path, name: str, depth_path: Path) -> None:
 
 def main(out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
+    os.environ["COLUMNS"] = "100"  # argparse wraps --help to the terminal width
+    for command in ("", "sample", "reconstruct", "eval", "pipeline", "grad-check", "gen-scenes"):
+        run(out, f"help-{command or 'depthsample'}", [*command.split(), "--help"])
+    (out / "package-all.txt").write_text("\n".join(sorted(depthsample.__all__)) + "\n")
     scene_dir = out / "scenes"
     run(out, "gen-scenes", ["gen-scenes", "--out", str(scene_dir), "--count", "4",
                             "--height", str(HEIGHT), "--width", str(WIDTH), "--seed", "7"])

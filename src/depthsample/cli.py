@@ -9,6 +9,7 @@ or validation errors and when any ``pipeline`` cell fails.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .reconstruct import (SolverConfig, bilateral_reconstruct,
                           colorization_reconstruct, nn_reconstruct)
 from .samplers import locations_to_mask, target_count
 from .ssa import SsaConfig, TemperatureSchedule, gradient_check, refine_locations
+from .superpixel import DEFAULT_ITERS, DEFAULT_M
 
 
 class _Usage(Exception):
@@ -48,11 +50,15 @@ def _load_config(path: str) -> dict[str, str]:
         if "=" not in stripped:
             raise _Usage(f"{path}:{lineno}: expected 'key = value'")
         key, value = stripped.split("=", 1)
-        key = key.strip().replace("-", "_")
-        if key == "in":
-            key = "infile"
-        cfg[key] = value.strip()
+        cfg[_dest(key.strip())] = value.strip()
     return cfg
+
+
+def _dest(key: str) -> str:
+    """Where an option or config key is stored: dashes become underscores, and
+    ``in``, a Python keyword, becomes ``infile``."""
+    dest = key.replace("-", "_")
+    return "infile" if dest == "in" else dest
 
 
 def _parse_bool(text: str) -> bool:
@@ -127,10 +133,10 @@ def _rates(text: str) -> tuple[float, ...]:
     return tuple(_rate(v) for v in text.split(","))
 
 
-def _ssa_config(window: int, t_start: float = 1.0, t_end: float = 0.1) -> SsaConfig:
+def _ssa_config(window: int, *schedule: float) -> SsaConfig:
     """The soft-sampling configuration; a value it rejects is a usage error."""
     try:
-        return SsaConfig(window=window, schedule=TemperatureSchedule(t_start, t_end))
+        return SsaConfig(window=window, schedule=TemperatureSchedule(*schedule))
     except ValueError as exc:
         raise _Usage(str(exc))
 
@@ -178,9 +184,7 @@ def _distinct(conv):
 
 
 def _opt(parser, registry, name, conv, default, help_text):
-    dest = name.lstrip("-").replace("-", "_")
-    if dest == "in":  # avoid the Python keyword
-        dest = "infile"
+    dest = _dest(name.lstrip("-"))
     if conv is _parse_bool:
         parser.add_argument(name, dest=dest, action="store_const", const=True,
                             default=None, help=help_text)
@@ -190,6 +194,15 @@ def _opt(parser, registry, name, conv, default, help_text):
 
 
 _REQUIRED = object()
+
+
+def _defaults(fn) -> dict:
+    """``fn``'s keyword defaults by parameter name: the library states them once."""
+    return {k: p.default for k, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty}
+
+
+_REFINE, _GRAD_CHECK = _defaults(refine_locations), _defaults(gradient_check)
 
 
 def _require(args, registry):
@@ -389,15 +402,16 @@ def _build_parser():
     _opt(p, reg, "--samples-out", str, None, "also write continuous locations as CSV")
     _opt(p, reg, "--seg-out", str, None, "dump superpixel labels as 16-bit PGM")
     _opt(p, reg, "--seed", _seed, 0, "random seed, at least 0")
-    _opt(p, reg, "--m", _compactness, 1.0, "superpixel compactness weight, finite and at least 0")
-    _opt(p, reg, "--iters", _sweeps, 10, "superpixel refinement sweeps, at least 0")
-    _opt(p, reg, "--window", int, 5, "soft-sampling window size")
-    _opt(p, reg, "--t-start", _temperature, 1.0,
+    _opt(p, reg, "--m", _compactness, DEFAULT_M, "superpixel compactness weight, finite and at least 0")
+    _opt(p, reg, "--iters", _sweeps, DEFAULT_ITERS, "superpixel refinement sweeps, at least 0")
+    _opt(p, reg, "--window", int, SsaConfig.window, "soft-sampling window size")
+    _opt(p, reg, "--t-start", _temperature, TemperatureSchedule.t_start,
          "annealing start temperature, finite and at least --t-end")
-    _opt(p, reg, "--t-end", _temperature, 0.1,
+    _opt(p, reg, "--t-end", _temperature, TemperatureSchedule.t_end,
          "annealing end temperature, finite, above 0 and at most --t-start")
-    _opt(p, reg, "--refine-steps", _refine_steps, 200, "gradient steps for ssa-refined, at least 0")
-    _opt(p, reg, "--lr", _lr, 1e-5, "learning rate for ssa-refined, finite and above 0")
+    _opt(p, reg, "--refine-steps", _refine_steps, _REFINE["steps"],
+         "gradient steps for ssa-refined, at least 0")
+    _opt(p, reg, "--lr", _lr, _REFINE["lr"], "learning rate for ssa-refined, finite and above 0")
 
     p, reg = command("reconstruct", "densify a sparse depth map")
     _opt(p, reg, "--method", _choice(RECONSTRUCTORS), _REQUIRED, " | ".join(RECONSTRUCTORS))
@@ -421,31 +435,31 @@ def _build_parser():
     _opt(p, reg, "--out", str, _REQUIRED, "aggregate report CSV")
     _opt(p, reg, "--method", _distinct(_choices(SAMPLERS)), ("sps",),
          "comma-separated distinct samplers")
-    _opt(p, reg, "--recon", _distinct(_choices(RECONSTRUCTORS)), ("colorization",),
+    _opt(p, reg, "--recon", _distinct(_choices(RECONSTRUCTORS)), ExperimentConfig.reconstructors,
          "comma-separated distinct reconstructors")
-    _opt(p, reg, "--rate", _distinct(_rates), (0.0025,),
+    _opt(p, reg, "--rate", _distinct(_rates), ExperimentConfig.rates,
          "comma-separated distinct sampling rates in (0, 1]")
-    _opt(p, reg, "--seeds", _distinct(_seeds), (0,),
+    _opt(p, reg, "--seeds", _distinct(_seeds), ExperimentConfig.seeds,
          "comma-separated distinct seeds, each at least 0")
     _opt(p, reg, "--cells-out", str, None, "also write the per-scene cell CSV")
     _opt(p, reg, "--json-out", str, None, "also write a JSON mirror of the report")
     _opt(p, reg, "--timing", _parse_bool, False, "include wall-clock times (breaks byte reproducibility)")
-    _opt(p, reg, "--workers", _workers, 1, "parallel evaluation threads, at least 1")
-    _opt(p, reg, "--m", _compactness, 1.0, "superpixel compactness weight, finite and at least 0")
-    _opt(p, reg, "--iters", _sweeps, 10, "superpixel refinement sweeps, at least 0")
+    _opt(p, reg, "--workers", _workers, ExperimentConfig.workers, "parallel evaluation threads, at least 1")
+    _opt(p, reg, "--m", _compactness, DEFAULT_M, "superpixel compactness weight, finite and at least 0")
+    _opt(p, reg, "--iters", _sweeps, DEFAULT_ITERS, "superpixel refinement sweeps, at least 0")
     _opt(p, reg, "--sigma-c", _sigma_c, SolverConfig.sigma_c, "color affinity bandwidth, finite and above 0")
     _opt(p, reg, "--tol", _tol, SolverConfig.tol, "solver relative residual tolerance, finite and above 0")
     _opt(p, reg, "--max-iters", _max_iters, SolverConfig.max_iters, "solver iteration cap, at least 0")
 
     p, reg = command("grad-check", "verify soft-sampling gradients against finite differences")
-    _opt(p, reg, "--cases", _cases, 1000, "number of randomized cases, at least 1")
-    _opt(p, reg, "--window", int, 5, "soft-sampling window size")
-    _opt(p, reg, "--seed", _seed, 0, "random seed, at least 0")
-    _opt(p, reg, "--t-min", _temperature, 0.2,
+    _opt(p, reg, "--cases", _cases, _GRAD_CHECK["cases"], "number of randomized cases, at least 1")
+    _opt(p, reg, "--window", int, _GRAD_CHECK["window"], "soft-sampling window size")
+    _opt(p, reg, "--seed", _seed, _GRAD_CHECK["seed"], "random seed, at least 0")
+    _opt(p, reg, "--t-min", _temperature, _GRAD_CHECK["t_range"][0],
          "low end of the temperature range, finite and above 0")
-    _opt(p, reg, "--t-max", _temperature, 2.0,
+    _opt(p, reg, "--t-max", _temperature, _GRAD_CHECK["t_range"][1],
          "high end of the temperature range, finite and at least --t-min")
-    _opt(p, reg, "--step", _step, 1e-4, "finite-difference step in pixels, finite and above 0")
+    _opt(p, reg, "--step", _step, _GRAD_CHECK["h"], "finite-difference step in pixels, finite and above 0")
     _opt(p, reg, "--tolerance", _tolerance, 1e-4,
          "maximum allowed relative error, finite and above 0")
 

@@ -10,13 +10,15 @@ unless explicitly requested, since they would break byte-reproducibility.
 from __future__ import annotations
 
 import contextlib
+import csv
 import functools
 import itertools
 import json
+import math
 import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .reconstruct import (AffinityGraph, SolverConfig, bilateral_reconstruct, bu
                           colorization_reconstruct, nn_reconstruct)
 from .samplers import grid_mask, locations_to_mask, poisson_mask, random_mask, target_count
 from .scenes import SyntheticScene
-from .superpixel import Segmentation, sps_sample
+from .superpixel import DEFAULT_ITERS, DEFAULT_M, Segmentation, sps_sample
 
 __all__ = [
     "mae",
@@ -75,8 +77,8 @@ class ExperimentConfig:
     reconstructors: tuple[str, ...] = ("colorization",)
     rates: tuple[float, ...] = (0.0025,)
     seeds: tuple[int, ...] = (0,)
-    m: float = 1.0
-    slic_iters: int = 10
+    m: float = DEFAULT_M
+    slic_iters: int = DEFAULT_ITERS
     sigma_c: float = SolverConfig.sigma_c
     tol: float = SolverConfig.tol
     max_iters: int = SolverConfig.max_iters
@@ -122,26 +124,17 @@ class EvalReport:
     rows: list[CellResult] = field(default_factory=list)
 
     def aggregate(self) -> list[dict]:
-        """Mean metrics over scenes, grouped by (sampler, reconstructor, rate, seed)."""
+        """One row of ``AGGREGATE_COLUMNS`` per (sampler, reconstructor, rate,
+        seed) with a cell that did not fail: the means of its scenes' errors
+        and sample counts, and the sum of their times."""
         groups: dict[tuple, list[CellResult]] = {}
         for row in self.rows:
-            groups.setdefault((row.sampler, row.reconstructor, row.rate, row.seed), []).append(row)
-        out = []
-        for key in sorted(groups):
-            cells = [c for c in groups[key] if not c.error]
-            if not cells:
-                continue
-            out.append({
-                "sampler": key[0],
-                "reconstructor": key[1],
-                "rate": key[2],
-                "seed": key[3],
-                "mae_mm": float(np.mean([c.mae_mm for c in cells])),
-                "rmse_mm": float(np.mean([c.rmse_mm for c in cells])),
-                "samples": int(round(float(np.mean([c.samples for c in cells])))),
-                "time_ms": float(np.sum([c.time_ms for c in cells])),
-            })
-        return out
+            if not row.error:
+                groups.setdefault(tuple(getattr(row, c) for c in _GROUP_BY), []).append(row)
+        return [{**dict(zip(_GROUP_BY, key)),
+                 **{c: combine([getattr(row, c) for row in groups[key]])
+                    for c, combine in _COMBINE.items()}}
+                for key in sorted(groups)]
 
     def sorted_rows(self) -> list[CellResult]:
         return sorted(self.rows, key=lambda r: (r.scene, r.sampler, r.reconstructor, r.rate, r.seed))
@@ -163,42 +156,52 @@ def _format_cell(key: str, value) -> str:
     return str(value)
 
 
+def _scrub(obj, include_timing: bool, null_nonfinite: bool = False):
+    """``obj``, a report row or payload, with each ``time_ms`` zeroed unless
+    ``include_timing`` is set, keeping reports byte-identical across reruns
+    of the same configuration; with ``null_nonfinite``, each NaN or infinite
+    float is None."""
+    if isinstance(obj, dict):
+        return {k: 0.0 if k == "time_ms" and not include_timing
+                else _scrub(v, include_timing, null_nonfinite) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_scrub(v, include_timing, null_nonfinite) for v in obj]
+    if null_nonfinite and isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def write_rows_csv(rows: list[dict], path, columns: list[str],
                    include_timing: bool = False) -> None:
-    """Write dict rows as CSV with fixed float formats.
-
-    ``time_ms`` is zeroed unless ``include_timing`` is set, keeping reports
-    byte-identical across reruns of the same configuration.
-    """
-    lines = [",".join(columns)]
-    for row in rows:
-        out = dict(row)
-        if not include_timing and "time_ms" in out:
-            out["time_ms"] = 0.0
-        lines.append(",".join(_format_cell(c, out[c]) for c in columns))
+    """Write dict rows as CSV with fixed float formats, ``time_ms`` zeroed
+    unless ``include_timing`` is set.  A field holding a comma, a quote or
+    a line break is quoted."""
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_format_cell(c, row[c]) for c in columns]
+                         for row in _scrub(rows, include_timing))
 
 
 def write_rows_json(payload: dict, path, include_timing: bool = False) -> None:
-    """JSON mirror of a report; timings zeroed unless requested."""
-    def scrub(obj):
-        if isinstance(obj, dict):
-            return {k: (0.0 if k == "time_ms" and not include_timing else scrub(v))
-                    for k, v in obj.items()}
-        if isinstance(obj, list):
-            return [scrub(v) for v in obj]
-        return obj
-
+    """JSON mirror of a report: timings zeroed unless requested, and a NaN or
+    infinite number (the errors of a failed cell) written as null."""
     with open(path, "w") as fh:
-        json.dump(scrub(payload), fh, indent=2, sort_keys=True)
+        json.dump(_scrub(payload, include_timing, null_nonfinite=True), fh, indent=2,
+                  sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-CELL_COLUMNS = ["scene", "sampler", "reconstructor", "rate", "seed",
-                "mae_mm", "rmse_mm", "samples", "time_ms", "converged", "error"]
-AGGREGATE_COLUMNS = ["sampler", "reconstructor", "rate", "seed",
-                     "mae_mm", "rmse_mm", "samples", "time_ms"]
+CELL_COLUMNS = [f.name for f in fields(CellResult)]
+_GROUP_BY = ("sampler", "reconstructor", "rate", "seed")
+# how each aggregate column combines the values of a group's cells
+_COMBINE = {
+    "mae_mm": lambda v: float(np.mean(v)),
+    "rmse_mm": lambda v: float(np.mean(v)),
+    "samples": lambda v: int(round(float(np.mean(v)))),
+    "time_ms": lambda v: float(np.sum(v)),
+}
+AGGREGATE_COLUMNS = [*_GROUP_BY, *_COMBINE]
 
 
 def _check_distinct(name: str, values) -> None:
@@ -431,8 +434,8 @@ def run_matrix(scenes: list[SyntheticScene], cfg: ExperimentConfig,
         if mask is not None:
             row.samples = mask.count
         if error is not None:
-            row.error = f"{type(error).__name__}: {error}"
-        if result is not None:
+            row.error, row.converged = f"{type(error).__name__}: {error}", False
+        else:
             row.mae_mm, row.rmse_mm, row.converged = result
         rows.append(row)
     return EvalReport(rows)

@@ -23,6 +23,14 @@ from typing import Union
 
 import numpy as np
 
+__all__ = [
+    "RgbImage", "LabImage", "DepthMap", "SamplingMask", "SampleSet",
+    "NetpbmError", "FormatError", "TruncationError",
+    "nearest_pixel", "rgb_to_lab", "apply_mask",
+    "load_ppm", "save_ppm", "load_pgm16", "save_pgm16", "write_pgm16",
+    "load_mask", "save_mask", "load_samples", "save_samples",
+]
+
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
@@ -281,10 +289,10 @@ def _read_netpbm(path: PathLike, dtype: str, channels: tuple[int, ...],
         raise FormatError(f"{name}: expected magic {magic.decode()}, found {tok.decode(errors='replace')!r}", 0)
     fields = []
     for field in ("width", "height", "maxval"):
-        at = pos
         tok, pos = _next_token(buf, pos)
-        if not tok.isdigit():
-            raise FormatError(f"{name}: non-numeric {field} field {tok.decode(errors='replace')!r}", at)
+        if not tok.isdigit():  # reported where the token starts
+            raise FormatError(f"{name}: non-numeric {field} field {tok.decode(errors='replace')!r}",
+                              pos - len(tok))
         fields.append(int(tok))
     width, height, maxval = fields
     if width < 1 or height < 1:

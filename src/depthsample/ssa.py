@@ -289,7 +289,7 @@ def bilinear_sample(d: DepthMap, location: np.ndarray) -> SoftSample:
     return SoftSample(float(value), grad, w[ok] / z, pixels[ok])
 
 
-def hard_sample(d: DepthMap, location: np.ndarray, window: int = 5):
+def hard_sample(d: DepthMap, location: np.ndarray, window: int = SsaConfig.window):
     """Nearest-pixel depth lookup, the test-time stand-in for soft sampling.
 
     Returns ``((px, py), depth)``.  Rounding ties go toward the smaller
@@ -317,7 +317,7 @@ def finite_difference_gradient(d: DepthMap, location: np.ndarray,
     return (v[0::2] - v[1::2]) / (2.0 * h)
 
 
-def gradient_check(cases: int = 1000, window: int = 5, seed: int = 0,
+def gradient_check(cases: int = 1000, window: int = SsaConfig.window, seed: int = 0,
                    t_range: tuple[float, float] = (0.2, 2.0),
                    h: float = 1e-4) -> float:
     """Max relative error of analytic vs finite-difference gradients.

@@ -25,6 +25,7 @@ from .samplers import _lattice_dims, _lattice_points
 
 __all__ = [
     "DEFAULT_M",
+    "DEFAULT_ITERS",
     "Segmentation",
     "SoftAssociation",
     "SuperpixelSummary",
@@ -36,8 +37,10 @@ __all__ = [
     "sps_sample",
 ]
 
-# default compactness weight on the spatial term of the combined distance
+# default compactness weight on the spatial term of the combined distance,
+# and the default number of localized k-means sweeps
 DEFAULT_M = 1.0
+DEFAULT_ITERS = 10
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -334,7 +337,7 @@ def slic_init(lab: LabImage, n_superpixels: int, m: float = DEFAULT_M) -> Segmen
 
 
 def slic_iterate(seg: Segmentation, lab: LabImage, m: float = DEFAULT_M,
-                 iters: int = 10) -> Segmentation:
+                 iters: int = DEFAULT_ITERS) -> Segmentation:
     """Run localized k-means sweeps, then enforce connectivity.
 
     Each sweep reassigns pixels within every seed's 2S x 2S window and moves
@@ -453,7 +456,7 @@ def slic_loss(assoc: SoftAssociation, lab: LabImage, m: float = DEFAULT_M) -> fl
 
 
 def sps_sample(img: RgbImage, n_samples: int, m: float = DEFAULT_M,
-               iters: int = 10, return_segmentation: bool = False):
+               iters: int = DEFAULT_ITERS, return_segmentation: bool = False):
     """Adaptive sampling: one depth sample per superpixel, at its mass center.
 
     Runs SLIC on the image, takes each superpixel's member mass center, and

@@ -1,6 +1,8 @@
 """End-to-end coverage of the depthsample command line: exit codes, file
 outputs, stdout contracts, config-file precedence."""
+import csv
 import importlib
+import json
 import os
 import shutil
 import subprocess
@@ -312,6 +314,45 @@ def test_pipeline_exits_2_when_a_cell_fails(tmp_path, capsys):
     assert "failed 000/grid/nearest" in captured.err
     assert out.read_text().startswith("sampler,reconstructor,")
     assert len(cells.read_text().splitlines()) == 1 + 1
+
+
+def test_pipeline_reports_a_failed_cell_as_unconverged_and_null_in_json(tmp_path, capsys):
+    scene_dir = tmp_path / "scenes"
+    scene_dir.mkdir()
+    save_ppm(gen_scene("step-edge", 16, 20, 0).rgb, scene_dir / "000_rgb.ppm")
+    save_pgm16(DepthMap.from_depth(np.zeros((16, 20))), scene_dir / "000_depth.pgm")
+    cells, jout = tmp_path / "cells.csv", tmp_path / "report.json"
+    code = cli(["pipeline", "--in", str(scene_dir), "--out", str(tmp_path / "report.csv"),
+                "--cells-out", str(cells), "--json-out", str(jout),
+                "--method", "grid", "--recon", "nearest", "--rate", "0.05"])
+    assert code == 2
+    capsys.readouterr()
+    row, = csv.DictReader(cells.open(newline=""))
+    assert row["converged"] == "false" and row["mae_mm"] == "nan"
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    cell, = json.loads(jout.read_text(), parse_constant=reject)["cells"]
+    assert cell["mae_mm"] is None and cell["rmse_mm"] is None
+    assert cell["converged"] is False
+    assert cell["error"].startswith("ValueError: ")
+
+
+def test_pipeline_cells_csv_quotes_a_scene_name_with_a_comma(tmp_path, capsys):
+    scene_dir = tmp_path / "scenes"
+    scene_dir.mkdir()
+    scene = gen_scene("step-edge", 16, 20, 0)
+    save_ppm(scene.rgb, scene_dir / "a,b_rgb.ppm")
+    save_pgm16(scene.depth, scene_dir / "a,b_depth.pgm")
+    cells = tmp_path / "cells.csv"
+    assert cli(["pipeline", "--in", str(scene_dir), "--out", str(tmp_path / "report.csv"),
+                "--cells-out", str(cells), "--method", "grid", "--recon", "nearest",
+                "--rate", "0.05"]) == 0
+    rows = list(csv.DictReader(cells.open(newline="")))
+    assert [(r["scene"], r["sampler"], r["reconstructor"], None in r) for r in rows] == [
+        ("a,b", "grid", "nearest", False)]
+    assert cells.read_text().splitlines()[1].startswith('"a,b",grid,nearest,0.050000,0,')
 
 
 def test_pipeline_rejects_a_scene_whose_rgb_and_depth_sizes_differ(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Error metrics and the experiment harness: the evaluation matrix, the
 mask-staleness and pointing-jitter experiments, and report serialization."""
 import collections
+import csv
 import dataclasses
 import functools
 import json
@@ -155,6 +156,17 @@ def test_failed_cell_is_recorded_and_run_continues():
     assert np.isfinite(good_row.mae_mm)
 
 
+def test_a_failed_cell_is_not_converged():
+    good = gen_scene("planar-ramp", 8, 10, 0)
+    hollow = SyntheticScene(good.rgb, DepthMap.from_depth(np.zeros((8, 10))), kind="custom")
+    cfg = ExperimentConfig(samplers=("grid",), reconstructors=("colorization", "nearest"),
+                           rates=(0.05,), seeds=(0,))
+    report = run_matrix([hollow, good], cfg, scene_names=["hollow", "good"])
+    assert [(r.scene, bool(r.error), r.converged) for r in report.rows] == [
+        ("hollow", True, False), ("hollow", True, False), ("good", False, True),
+        ("good", False, True)]
+
+
 def test_aggregate_averages_scenes_and_drops_failed_cells():
     report = EvalReport([
         CellResult("a", "grid", "nearest", 0.01, 0, mae_mm=10.0, rmse_mm=20.0,
@@ -198,6 +210,36 @@ def test_csv_writer_booleans_and_errors(tmp_path):
     write_rows_csv([row], path, CELL_COLUMNS)
     line = path.read_text().splitlines()[1]
     assert line == "s,grid,nearest,0.010000,0,1.000000,2.000000,3,0.000,true,"
+
+
+def test_csv_writer_quotes_commas_quotes_and_line_breaks(tmp_path):
+    row = dataclasses.asdict(CellResult("a,b", "grid", "nearest", 0.01, 0,
+                                        error='ValueError: "x",\ny'))
+    path = tmp_path / "cells.csv"
+    write_rows_csv([row], path, CELL_COLUMNS)
+    with path.open(newline="") as fh:
+        header, line = csv.reader(fh)
+    assert header == CELL_COLUMNS
+    assert line == ["a,b", "grid", "nearest", "0.010000", "0", "nan", "nan", "0", "0.000",
+                    "true", 'ValueError: "x",\ny']
+
+
+def test_json_writer_writes_non_finite_numbers_as_null(tmp_path):
+    payload = {"cells": [{"mae_mm": float("nan"), "rmse_mm": float("inf"), "samples": 0}]}
+    path = tmp_path / "r.json"
+    write_rows_json(payload, path)
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    assert json.loads(path.read_text(), parse_constant=reject) == {
+        "cells": [{"mae_mm": None, "rmse_mm": None, "samples": 0}]}
+
+
+def test_report_columns_are_the_fields_the_report_holds():
+    assert CELL_COLUMNS == [f.name for f in dataclasses.fields(CellResult)]
+    report = EvalReport([CellResult("a", "grid", "nearest", 0.01, 0, mae_mm=1.0, rmse_mm=2.0)])
+    assert list(report.aggregate()[0]) == AGGREGATE_COLUMNS
 
 
 def test_reports_byte_identical_across_runs_and_worker_counts(tmp_path):

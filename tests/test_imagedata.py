@@ -132,7 +132,8 @@ def test_mask_round_trip(tmp_path):
 
 @pytest.mark.parametrize("load, data, error, message, offset", [
     (load_ppm, b"P6\n2 ", TruncationError, "file ends inside the header", 5),
-    (load_ppm, b"P6\n2 x\n255\n", FormatError, "{path}: non-numeric height field 'x'", 4),
+    (load_ppm, b"P6\n2 x\n255\n", FormatError, "{path}: non-numeric height field 'x'", 5),
+    (load_ppm, b"P6\n2 # c\nx\n255\n", FormatError, "{path}: non-numeric height field 'x'", 9),
     (load_pgm16, b"P5\n0 2\n65535\n", FormatError,
      "{path}: image dimensions must be positive, got 0x2", 0),
     (load_mask, b"P5\n1 1\n255", TruncationError, "{path}: file ends before the payload", 10),
