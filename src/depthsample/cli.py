@@ -283,7 +283,8 @@ def _cmd_reconstruct(args) -> int:
                 lab, sparse, SolverConfig(args.sigma_c, args.tol, args.max_iters))
             dense = result.depth
             print(f"converged={str(result.converged).lower()} "
-                  f"iterations={result.iterations} residual={result.residual:.3e}")
+                  f"iterations={result.iterations} residual={result.residual:.3e} "
+                  f"error_bound_mm={result.error_bound_mm:.3e}")
         else:
             dense = bilateral_reconstruct(lab, sparse, sigma_s=args.sigma_s,
                                           sigma_c=args.sigma_c, radius=args.radius)

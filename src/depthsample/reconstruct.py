@@ -5,8 +5,10 @@ unknown pixel should equal the affinity-weighted average of its 8-neighbors,
 with affinities from color similarity, and sampled pixels act as hard
 constraints.  Multiplied by each pixel's degree, those equations are the
 graph Laplacian L = diag(degrees) - K of the symmetric Gaussian kernel K,
-reduced to the unknown pixels; that system is symmetric positive definite
-and solved here with a Jacobi-preconditioned conjugate gradient.
+reduced to the unknown pixels.  A small data term toward the nearest sample
+(Barron and Poole, "The fast bilateral solver", ECCV 2016) bounds that
+system's smallest eigenvalue from below, so it is well conditioned and its
+answer is determined; a Jacobi-preconditioned conjugate gradient solves it.
 
 Two simpler baselines round out the module: exact nearest-valid-sample
 lookup and a radius-limited joint bilateral filter.
@@ -40,6 +42,10 @@ _BLOCK = 8
 _NN_BUDGET = 2_000_000
 
 _OFFSETS_8 = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
+
+# weight of the data term that pulls each unknown pixel toward its nearest
+# sample; the reduced system's smallest eigenvalue is at least this
+_LAMBDA = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,12 +83,19 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class ColorizationResult:
-    """Dense reconstruction plus the solver's convergence report."""
+    """Dense reconstruction plus the solver's convergence report.
+
+    ``residual`` is the relative residual CG stopped at.  ``error_bound_mm``
+    bounds the RMS distance over the solved pixels from the system's exact
+    answer: ||b - A x|| / (lambda sqrt(N)), since A's smallest eigenvalue is
+    at least lambda.
+    """
 
     depth: DepthMap
     converged: bool
     iterations: int
     residual: float
+    error_bound_mm: float
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -122,6 +135,16 @@ def build_affinity(lab: LabImage, sigma_c: float = SolverConfig.sigma_c) -> Affi
     return AffinityGraph((sp.diags(degrees) - kernel).tocsr(), degrees, h, w, sigma_c)
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u . v summed in a fixed order, without BLAS, whose order depends on
+    its thread count."""
+    return float(np.einsum("i,i", u, v))
+
+
+def _norm(u: np.ndarray) -> float:
+    return math.sqrt(_dot(u, u))
+
+
 def _jacobi_cg(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
                tol: float, max_iters: int) -> tuple[np.ndarray, bool, int, float]:
     """Preconditioned conjugate gradient for an SPD sparse system.
@@ -131,33 +154,33 @@ def _jacobi_cg(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
     every 50 iterations to curb floating-point drift.
     """
     diag = A.diagonal()
-    b_norm = float(np.linalg.norm(b))
+    b_norm = _norm(b)
     if b_norm == 0.0:
         return np.zeros_like(b), True, 0, 0.0
     x = x0.copy()
     r = b - A @ x
-    res = float(np.linalg.norm(r))
+    res = _norm(r)
     if res <= tol * b_norm:
         return x, True, 0, res / b_norm
     z = r / diag
     p = z.copy()
-    rz = float(r @ z)
+    rz = _dot(r, z)
     for it in range(1, max_iters + 1):
         Ap = A @ p
-        alpha = rz / float(p @ Ap)
+        alpha = rz / _dot(p, Ap)
         x += alpha * p
         if it % 50 == 0:
             r = b - A @ x
         else:
             r -= alpha * Ap
-        res = float(np.linalg.norm(r))
+        res = _norm(r)
         if res <= tol * b_norm:
             return x, True, it, res / b_norm
         z = r / diag
-        rz_new = float(r @ z)
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, False, max_iters, float(np.linalg.norm(b - A @ x)) / b_norm
+    return x, False, max_iters, _norm(b - A @ x) / b_norm
 
 
 def _block_extent(start: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,16 +246,19 @@ def colorization_reconstruct(lab: LabImage, sparse_depth: DepthMap,
     """Propagate sparse depth through color affinities to a dense map.
 
     Every unknown pixel is held to the affinity-weighted average of its
-    neighbors, sum_j L_ij d_j = 0, with the rest fixed.  The unknown rows of
-    the graph's Laplacian give the reduced system L_UU x = -L_UF d_F, which
-    is exactly symmetric and positive definite; a Jacobi-preconditioned CG
-    warm-started from the nearest-sample reconstruction solves it.  Sampled
-    pixels pass through bit-exactly, and since the solution is a convex
-    combination of the samples it obeys their min/max (up to solver
-    tolerance).  An unknown pixel whose affinities all underflow (its degree
-    is below the smallest normal float) has no equation of its own; it takes
-    its nearest-sample value and is held fixed like a sample while the rest
-    is solved.
+    neighbors, sum_j L_ij d_j = 0, with the rest fixed, and weakly, with
+    weight lambda = _LAMBDA, to its nearest sample x_nn.  The unknown rows
+    of the graph's Laplacian give the reduced system
+    (L_UU + lambda I) x = -L_UF d_F + lambda x_nn, which is exactly
+    symmetric with every eigenvalue at least lambda; a Jacobi-preconditioned
+    CG warm-started from x_nn solves it to ``cfg.tol`` relative residual.
+    ``error_bound_mm`` then bounds the RMS distance of the solved pixels
+    from the exact answer.  Sampled pixels pass through bit-exactly, and
+    since the exact answer is a convex combination of the samples, clipping
+    to their min/max only moves the result closer to it.  An unknown pixel
+    whose affinities all underflow (its degree is below the smallest normal
+    float) takes its nearest-sample value and is held fixed like a sample
+    while the rest is solved.
 
     ``graph``, when given, is ``build_affinity(lab, cfg.sigma_c)``, so that
     solves on one image can share it; the result is bit-identical to that
@@ -251,7 +277,7 @@ def colorization_reconstruct(lab: LabImage, sparse_depth: DepthMap,
         raise ValueError("cannot reconstruct from a depth map with no valid samples")
     h, w = lab.height, lab.width
     if constrained.all():
-        return ColorizationResult(sparse_depth, True, 0, 0.0)
+        return ColorizationResult(sparse_depth, True, 0, 0.0, 0.0)
 
     if graph is None:
         graph = build_affinity(lab, cfg.sigma_c)
@@ -262,15 +288,19 @@ def colorization_reconstruct(lab: LabImage, sparse_depth: DepthMap,
     d_c = sparse_depth.depth.ravel()[constrained]
     rows = graph.laplacian[unknown]
     A = rows[:, unknown]
-    b = -(rows[:, fixed] @ full[fixed])
+    A.setdiag(A.diagonal() + _LAMBDA)  # every unknown row stores its diagonal
+    start = full[unknown]
+    b = _LAMBDA * start - rows[:, fixed] @ full[fixed]
 
-    x, converged, iters, residual = _jacobi_cg(A, b, full[unknown], cfg.tol, cfg.max_iters)
+    x, converged, iters, residual = _jacobi_cg(A, b, start, cfg.tol, cfg.max_iters)
+    # ||x - x*|| <= ||b - A x|| / lambda; the max() keeps 0 when nothing is solved
+    bound = _norm(b - A @ x) / (_LAMBDA * math.sqrt(max(x.size, 1)))
 
     # The exact solution is a convex combination of the samples, so clipping
     # the approximate one to their range only ever moves it closer to exact.
     full[unknown] = np.clip(x, d_c.min(), d_c.max())
     dense = DepthMap(full.reshape(h, w), np.ones((h, w), dtype=bool))
-    return ColorizationResult(dense, converged, iters, residual)
+    return ColorizationResult(dense, converged, iters, residual, bound)
 
 
 def bilateral_reconstruct(lab: LabImage, sparse_depth: DepthMap,

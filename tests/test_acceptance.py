@@ -158,7 +158,10 @@ def _smooth_lab(h, w, seed, base=120, amp=25):
 
 
 def _dense_oracle(lab, sparse):
-    """Assemble the propagation system with plain loops and solve it densely."""
+    """Assemble the propagation system with plain loops and solve it densely:
+    (diag(deg_U) - K_UU + lambda I) x = K_UF d_F + lambda x_nn, with K the
+    Gaussian color kernel, lambda = 1e-4 and x_nn the nearest sample (ties
+    to the first in row-major order)."""
     h, w = lab.height, lab.width
     n = h * w
     raw = np.zeros((n, n))
@@ -175,11 +178,14 @@ def _dense_oracle(lab, sparse):
                     j = ny * w + nx
                     diff2 = float(np.sum((lab.values[y, x] - lab.values[ny, nx]) ** 2))
                     raw[i, j] = np.exp(-diff2 / 200.0)  # sigma_c = 10
-    wrow = raw / raw.sum(axis=1, keepdims=True)
     con = sparse.valid.ravel()
     unk = ~con
-    a = np.eye(int(unk.sum())) - wrow[np.ix_(unk, unk)]
-    b = wrow[np.ix_(unk, con)] @ sparse.depth.ravel()[con]
+    ys, xs = np.nonzero(sparse.valid)
+    yy, xx = np.divmod(np.arange(n), w)
+    x_nn = sparse.depth[ys, xs][((yy[:, None] - ys) ** 2 + (xx[:, None] - xs) ** 2).argmin(axis=1)]
+    lam = 1e-4
+    a = np.diag(raw.sum(axis=1)[unk] + lam) - raw[np.ix_(unk, unk)]
+    b = raw[np.ix_(unk, con)] @ sparse.depth.ravel()[con] + lam * x_nn[unk]
     full = sparse.depth.ravel().copy()
     full[unk] = np.linalg.solve(a, b)
     return full.reshape(h, w)

@@ -197,6 +197,19 @@ def test_reconstruct_colorization_with_narrow_bandwidth_on_random_colors(tmp_pat
     assert load_pgm16(out).valid.all()
 
 
+def test_reconstruct_colorization_prints_its_error_bound(scene_files, tmp_path, capsys):
+    scene, rgb, _ = scene_files
+    sparse_path, out = tmp_path / "sparse.pgm", tmp_path / "dense.pgm"
+    save_pgm16(DepthMap.from_depth(np.where(np.eye(16, 20, dtype=bool), scene.depth.depth, 0.0)),
+               sparse_path)
+    assert cli(["reconstruct", "--method", "colorization", "--rgb", str(rgb),
+                "--in", str(sparse_path), "--out", str(out)]) == 0
+    report = capsys.readouterr().out.splitlines()[0]
+    fields = dict(field.split("=") for field in report.split())
+    assert list(fields) == ["converged", "iterations", "residual", "error_bound_mm"]
+    assert 0.0 <= float(fields["error_bound_mm"]) < 1000.0
+
+
 @pytest.fixture
 def flat_wall(tmp_path):
     """A uniform grey 60x80 image of a wall at a constant 2,500 mm."""
@@ -298,6 +311,29 @@ def test_pipeline_csv_header_and_reproducibility(tmp_path, capsys):
     # 2 scenes x 2 samplers x 1 reconstructor x 1 rate x 2 seeds
     assert len(outs[0][1].decode().splitlines()) == 1 + 8
     assert "evaluated 8 cells over 2 scenes" in capsys.readouterr().out
+
+
+def test_pipeline_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The solver's reductions are summed in a fixed order, not by BLAS,
+    whose order changes with its thread count on vectors this long."""
+    scene_dir = tmp_path / "scenes"
+    assert cli(["gen-scenes", "--out", str(scene_dir), "--count", "1", "--kinds", "textured",
+                "--height", "120", "--width", "160", "--seed", "1"]) == 0
+    package_root = str(Path(depthsample.__file__).resolve().parents[1])
+    pythonpath = [package_root] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath),
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "depthsample", "pipeline", "--in", str(scene_dir),
+             "--out", f"{out}.csv", "--cells-out", f"{out}-cells.csv", "--json-out", f"{out}.json",
+             "--method", "random,grid", "--recon", "colorization", "--seeds", "0"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append([Path(f"{out}{suffix}").read_bytes() for suffix in (".csv", "-cells.csv", ".json")])
+    assert outs[0] == outs[1]
 
 
 def test_pipeline_exits_2_when_a_cell_fails(tmp_path, capsys):

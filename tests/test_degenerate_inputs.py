@@ -1,14 +1,18 @@
 """Well-formed but degenerate inputs never crash: tiny and one-pixel-wide
 images, one sample or every pixel sampled, flat colour and depth, and colour
 edges whose affinities underflow, through the harness and the command line."""
+import warnings
+
 import numpy as np
 import pytest
 
 from depthsample.cli import cli
-from depthsample.evaluate import RECONSTRUCTORS, SAMPLERS, ExperimentConfig, run_matrix
+from depthsample.evaluate import RECONSTRUCTORS, SAMPLERS, ExperimentConfig, run_matrix, sample
 from depthsample.imagedata import (DepthMap, RgbImage, apply_mask, load_mask, load_pgm16,
-                                   save_pgm16, save_ppm)
+                                   rgb_to_lab, save_pgm16, save_ppm)
+from depthsample.reconstruct import colorization_reconstruct
 from depthsample.scenes import SyntheticScene
+from depthsample.superpixel import DEFAULT_ITERS, DEFAULT_M
 
 SIZES = [(1, 1), (1, 7), (7, 1), (2, 2), (4, 5), (2, 9)]
 
@@ -69,3 +73,19 @@ def test_degenerate_inputs_finish_with_finite_depth(h, w, kind, sigma_c, tmp_pat
     assert cli(["pipeline", "--in", str(scene_dir), "--out", str(tmp_path / "report.csv"),
                 "--method", ",".join(SAMPLERS), "--recon", ",".join(RECONSTRUCTORS),
                 "--rate", ",".join(map(repr, rates)), *sigma]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["grid", "sps"])
+def test_a_2x2_colour_ramp_with_one_corner_sample_converges(method):
+    """The two middle pixels share one colour and couple to the corners with
+    weights near 1e-18.  Without a data term the reduced system's condition
+    number was near 1e18: CG ran to its cap and overflowed."""
+    scene = _scene("ramp", 2, 2)
+    mask = sample(method, scene.rgb, 1, 0, DEFAULT_M, DEFAULT_ITERS).mask
+    assert mask.count == 1 and (mask.bits[0, 0] or mask.bits[1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = colorization_reconstruct(rgb_to_lab(scene.rgb), apply_mask(scene.depth, mask))
+    assert res.converged
+    assert np.isfinite([res.residual, res.error_bound_mm]).all()
+    assert np.isfinite(res.depth.depth).all()

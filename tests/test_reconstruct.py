@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from depthsample import reconstruct
 from depthsample.imagedata import DepthMap, LabImage, RgbImage, apply_mask, rgb_to_lab
@@ -13,8 +14,9 @@ from depthsample.reconstruct import (
     colorization_reconstruct,
     nn_reconstruct,
 )
-from depthsample.samplers import grid_mask, random_mask
+from depthsample.samplers import grid_mask, locations_to_mask, random_mask
 from depthsample.scenes import gen_scene
+from depthsample.superpixel import sps_sample
 
 
 def _uniform_lab(h, w, value=128):
@@ -174,11 +176,10 @@ def _smooth_lab(h, w, seed, base=120, amp=25):
 
 
 def _dense_oracle(lab, sparse):
-    """Assemble the propagation system with plain loops and solve it densely.
-
-    Uses the row-stochastic form x = Wx (I - W_UU well conditioned) rather
-    than the Laplacian scaling, so LU has no equilibration worries.
-    """
+    """Assemble the propagation system with plain loops and solve it densely:
+    (diag(deg_U) - K_UU + lambda I) x = K_UF d_F + lambda x_nn, with K the
+    Gaussian color kernel, lambda = 1e-4 and x_nn the nearest sample (ties
+    to the first in row-major order)."""
     h, w = lab.height, lab.width
     n = h * w
     raw = np.zeros((n, n))
@@ -195,11 +196,14 @@ def _dense_oracle(lab, sparse):
                     j = ny * w + nx
                     diff2 = float(np.sum((lab.values[y, x] - lab.values[ny, nx]) ** 2))
                     raw[i, j] = np.exp(-diff2 / 200.0)  # sigma_c = 10
-    wrow = raw / raw.sum(axis=1, keepdims=True)
     con = sparse.valid.ravel()
     unk = ~con
-    A = np.eye(int(unk.sum())) - wrow[np.ix_(unk, unk)]
-    b = wrow[np.ix_(unk, con)] @ sparse.depth.ravel()[con]
+    ys, xs = np.nonzero(sparse.valid)
+    yy, xx = np.divmod(np.arange(n), w)
+    x_nn = sparse.depth[ys, xs][((yy[:, None] - ys) ** 2 + (xx[:, None] - xs) ** 2).argmin(axis=1)]
+    lam = 1e-4
+    A = np.diag(raw.sum(axis=1)[unk] + lam) - raw[np.ix_(unk, unk)]
+    b = raw[np.ix_(unk, con)] @ sparse.depth.ravel()[con] + lam * x_nn[unk]
     full = sparse.depth.ravel().copy()
     full[unk] = np.linalg.solve(A, b)
     return full.reshape(h, w)
@@ -219,6 +223,72 @@ def test_solver_matches_dense_direct_solve():
         rel = np.abs(res.depth.depth - want) / np.maximum(np.abs(want), 1.0)
         assert rel.max() < 1e-6
         assert res.converged
+
+
+def _acceptance_05_instances():
+    """Acceptance check 05's solves, with its solver settings: 20 oracle
+    instances, 100 range-principle instances on iid colors and a 1-D ramp."""
+    rng = np.random.default_rng(5)
+    for seed in range(20):
+        lab = _smooth_lab(8, 8, 500 + seed)
+        depth = rng.uniform(500.0, 20000.0, size=(8, 8))
+        mask = rng.random((8, 8)) < 0.2
+        mask[rng.integers(8), rng.integers(8)] = True
+        yield lab, _sparse(depth, mask), SolverConfig(tol=1e-9)
+    for seed in range(100):
+        rng2 = np.random.default_rng(5000 + seed)
+        lab = rgb_to_lab(RgbImage(rng2.integers(0, 256, size=(8, 8, 3), dtype=np.uint8)))
+        depth = rng2.uniform(500.0, 20000.0, size=(8, 8))
+        mask = rng2.random((8, 8)) < 0.25
+        mask[rng2.integers(8), rng2.integers(8)] = True
+        yield lab, _sparse(depth, mask), SolverConfig(max_iters=2000)
+    line = np.zeros((1, 9))
+    line[0, 0], line[0, 8] = 1000.0, 1800.0
+    yield _uniform_lab(1, 9), _sparse(line, line > 0), SolverConfig(tol=1e-12)
+
+
+@pytest.fixture
+def cg_systems(monkeypatch):
+    """Every (A, b) that colorization hands to CG, in call order."""
+    systems = []
+    solve = reconstruct._jacobi_cg
+
+    def spy(A, b, *args):
+        systems.append((A, b))
+        return solve(A, b, *args)
+
+    monkeypatch.setattr(reconstruct, "_jacobi_cg", spy)
+    return systems
+
+
+def _distance_from_exact(cg_systems, lab, sparse, cfg=SolverConfig()):
+    """Solve, then solve the same reduced system directly; give the result
+    and the RMS distance of its solved pixels from the direct answer."""
+    res = colorization_reconstruct(lab, sparse, cfg)
+    A, b = cg_systems.pop()
+    solved = ~sparse.valid.ravel() & (build_affinity(lab, cfg.sigma_c).degrees
+                                      >= np.finfo(np.float64).tiny)
+    gap = res.depth.depth.ravel()[solved] - spsolve(A.tocsc(), b)
+    return res, float(np.sqrt(np.mean(gap * gap)))
+
+
+def test_the_error_bound_holds_on_the_acceptance_instances(cg_systems):
+    for lab, sparse, cfg in _acceptance_05_instances():
+        res, rms = _distance_from_exact(cg_systems, lab, sparse, cfg)
+        assert rms <= res.error_bound_mm
+
+
+@pytest.mark.parametrize("sampler", ["sps", "random"])
+def test_the_error_bound_holds_on_a_textured_scene(sampler, cg_systems):
+    """Textured scenes are where the system without a data term had no
+    determined answer; at the default tol the bound is a few millimetres."""
+    scene = gen_scene("textured", 120, 160, 1)
+    mask = (locations_to_mask(sps_sample(scene.rgb, 48), 120, 160) if sampler == "sps"
+            else random_mask(120, 160, 48, 0))
+    res, rms = _distance_from_exact(cg_systems, rgb_to_lab(scene.rgb),
+                                    apply_mask(scene.depth, mask))
+    assert res.converged
+    assert rms <= res.error_bound_mm < 50.0
 
 
 def test_maximum_principle():
