@@ -33,9 +33,6 @@ __all__ = [
     "bilateral_reconstruct",
 ]
 
-# a pixel of smaller degree has underflowed affinities and no equation of its own
-_MIN_DEGREE = np.finfo(np.float64).tiny
-
 # side of the pixel blocks that share one nearest-sample candidate list, and
 # the element budget of one group's pixel x candidate distance table
 _BLOCK = 8
@@ -53,14 +50,12 @@ class AffinityGraph:
     """Graph Laplacian of the color affinities over the 8-neighbor pixel graph.
 
     ``laplacian`` is the (H*W, H*W) CSR matrix L = diag(degrees) - K of the
-    Gaussian kernel K; it is exactly symmetric and its rows sum to 0 up to
-    rounding.  ``degrees`` holds the row sums of K.  A pixel whose degree is
-    below the smallest normal float has no usable equation: its affinities
-    underflowed.  ``sigma_c`` is the color bandwidth the graph was built with.
+    Gaussian kernel K, with degrees the row sums of K; it is exactly
+    symmetric and its rows sum to 0 up to rounding.  ``sigma_c`` is the
+    color bandwidth the graph was built with.
     """
 
     laplacian: sp.csr_matrix
-    degrees: np.ndarray
     height: int
     width: int
     sigma_c: float
@@ -132,7 +127,7 @@ def build_affinity(lab: LabImage, sigma_c: float = SolverConfig.sigma_c) -> Affi
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
     degrees = np.asarray(kernel.sum(axis=1)).ravel()
-    return AffinityGraph((sp.diags(degrees) - kernel).tocsr(), degrees, h, w, sigma_c)
+    return AffinityGraph((sp.diags(degrees) - kernel).tocsr(), h, w, sigma_c)
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -255,10 +250,7 @@ def colorization_reconstruct(lab: LabImage, sparse_depth: DepthMap,
     ``error_bound_mm`` then bounds the RMS distance of the solved pixels
     from the exact answer.  Sampled pixels pass through bit-exactly, and
     since the exact answer is a convex combination of the samples, clipping
-    to their min/max only moves the result closer to it.  An unknown pixel
-    whose affinities all underflow (its degree is below the smallest normal
-    float) takes its nearest-sample value and is held fixed like a sample
-    while the rest is solved.
+    to their min/max only moves the result closer to it.
 
     ``graph``, when given, is ``build_affinity(lab, cfg.sigma_c)``, so that
     solves on one image can share it; the result is bit-identical to that
@@ -283,18 +275,17 @@ def colorization_reconstruct(lab: LabImage, sparse_depth: DepthMap,
         graph = build_affinity(lab, cfg.sigma_c)
     full = np.where(constrained, sparse_depth.depth.ravel(),
                     nn_reconstruct(sparse_depth).depth.ravel())
-    unknown = ~constrained & (graph.degrees >= _MIN_DEGREE)
-    fixed = ~unknown
+    unknown = ~constrained
     d_c = sparse_depth.depth.ravel()[constrained]
     rows = graph.laplacian[unknown]
     A = rows[:, unknown]
-    A.setdiag(A.diagonal() + _LAMBDA)  # every unknown row stores its diagonal
+    A.setdiag(A.diagonal() + _LAMBDA)
     start = full[unknown]
-    b = _LAMBDA * start - rows[:, fixed] @ full[fixed]
+    b = _LAMBDA * start - rows[:, constrained] @ d_c
 
     x, converged, iters, residual = _jacobi_cg(A, b, start, cfg.tol, cfg.max_iters)
-    # ||x - x*|| <= ||b - A x|| / lambda; the max() keeps 0 when nothing is solved
-    bound = _norm(b - A @ x) / (_LAMBDA * math.sqrt(max(x.size, 1)))
+    # ||x - x*|| <= ||b - A x|| / lambda
+    bound = _norm(b - A @ x) / (_LAMBDA * math.sqrt(x.size))
 
     # The exact solution is a convex combination of the samples, so clipping
     # the approximate one to their range only ever moves it closer to exact.

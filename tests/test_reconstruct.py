@@ -43,7 +43,6 @@ def test_affinity_uniform_image_spreads_evenly():
     assert np.all(off[off != 0] == -1.0)
     # corner pixels have 3 neighbors, edges 5, interior 8
     assert [np.count_nonzero(off[i]) for i in (0, 1, 6)] == [3, 5, 8]
-    assert np.array_equal(g.degrees[[0, 1, 6]], [3.0, 5.0, 8.0])
     assert np.array_equal(np.diag(lap)[[0, 1, 6]], [3.0, 5.0, 8.0])
 
 
@@ -91,7 +90,7 @@ def test_cg_receives_an_exactly_symmetric_system(monkeypatch):
     assert (A != A.T).nnz == 0
     assert (graph.laplacian != graph.laplacian.T).nnz == 0
     row_sums = np.asarray(graph.laplacian.sum(axis=1)).ravel()
-    assert np.all(np.abs(row_sums) <= 1e-12 * graph.degrees)
+    assert np.all(np.abs(row_sums) <= 1e-12 * graph.laplacian.diagonal())
 
 
 def test_a_flat_wall_is_solved_by_the_warm_start():
@@ -266,9 +265,7 @@ def _distance_from_exact(cg_systems, lab, sparse, cfg=SolverConfig()):
     and the RMS distance of its solved pixels from the direct answer."""
     res = colorization_reconstruct(lab, sparse, cfg)
     A, b = cg_systems.pop()
-    solved = ~sparse.valid.ravel() & (build_affinity(lab, cfg.sigma_c).degrees
-                                      >= np.finfo(np.float64).tiny)
-    gap = res.depth.depth.ravel()[solved] - spsolve(A.tocsc(), b)
+    gap = res.depth.depth.ravel()[~sparse.valid.ravel()] - spsolve(A.tocsc(), b)
     return res, float(np.sqrt(np.mean(gap * gap)))
 
 
@@ -347,8 +344,8 @@ def test_solver_config_rejects_a_bad_field_when_made(field, bad):
 @pytest.mark.parametrize("sigma_c", [1.0, 2.0])
 def test_pixels_whose_affinities_underflow_take_the_nearest_sample(sigma_c):
     """With a narrow color bandwidth on iid colors, every affinity of some
-    pixels underflows; those pixels have no equation and keep the nearest
-    sample's depth, and the rest of the solve stays finite."""
+    pixels underflows; the data term alone is then their equation, so they
+    keep the nearest sample's depth, and the rest of the solve stays finite."""
     lab = _random_lab(12, 16, 3)
     rng = np.random.default_rng(4)
     depth = rng.uniform(500, 20000, size=(12, 16))
@@ -356,7 +353,7 @@ def test_pixels_whose_affinities_underflow_take_the_nearest_sample(sigma_c):
     sparse = _sparse(depth, mask)
     graph = build_affinity(lab, sigma_c)
     assert np.isfinite(graph.laplacian.data).all()
-    isolated = (graph.degrees < np.finfo(np.float64).tiny).reshape(12, 16) & ~mask
+    isolated = (graph.laplacian.diagonal() < np.finfo(np.float64).tiny).reshape(12, 16) & ~mask
     assert isolated.any()
 
     res = colorization_reconstruct(lab, sparse, SolverConfig(sigma_c=sigma_c))
