@@ -288,6 +288,17 @@ def test_the_error_bound_holds_on_a_textured_scene(sampler, cg_systems):
     assert rms <= res.error_bound_mm < 50.0
 
 
+def test_the_residual_and_the_bound_come_from_one_true_residual(cg_systems):
+    """``residual`` times ||b|| and ``error_bound_mm`` times lambda sqrt(N)
+    are both ||b - A x|| of the returned solve, not the residual CG recurs."""
+    scene = gen_scene("textured", 120, 160, 1)
+    res = colorization_reconstruct(rgb_to_lab(scene.rgb),
+                                   apply_mask(scene.depth, random_mask(120, 160, 48, 0)))
+    ((_, b),) = cg_systems
+    want = res.residual * np.linalg.norm(b) / (reconstruct._LAMBDA * np.sqrt(b.size))
+    assert res.error_bound_mm == pytest.approx(want, rel=1e-12)
+
+
 def test_maximum_principle():
     rng = np.random.default_rng(21)
     for _ in range(10):
