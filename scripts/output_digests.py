@@ -28,7 +28,10 @@ at the benchmark's refine budget (48 samples, 200 steps); a flat wall (a
 uniform grey 60x80 image at a constant 2,500 mm, where the nearest-sample
 start already solves colorization) through ``pipeline --recon colorization``
 with every sampler and through ``reconstruct --method colorization`` on a
-``grid`` mask; ``ssa-refined`` on two 60x80 scenes whose ground truth has
+``grid`` mask; ``reconstruct --method colorization`` on a ``random`` mask of
+one 120x160 ``textured`` scene, a solve long enough for OpenBLAS to thread
+its vector operations, so that listings under ``OPENBLAS_NUM_THREADS=1``
+and ``2`` must be identical; ``ssa-refined`` on two 60x80 scenes whose ground truth has
 no valid depth in one superpixel (``piecewise-constant`` seed 0 at
 ``--rate 0.01`` without superpixel 29, and ``planar-ramp`` seed 3 at
 ``--rate 0.0025`` without superpixel 5, whose sample's 5x5 window holds no
@@ -81,6 +84,20 @@ def write_nearest(out: Path, name: str, depth_path: Path) -> None:
     mask = imagedata.load_mask(out / f"{name}-mask.pgm")
     sparse = imagedata.apply_mask(imagedata.load_pgm16(depth_path), mask)
     (out / f"{name}-nearest.bin").write_bytes(reconstruct.nn_reconstruct(sparse).depth.tobytes())
+
+
+def colorize(out: Path, name: str, method: str, scene_dir: Path) -> None:
+    """Sample scene 000 of a directory at 48 samples per 120x160 pixels and
+    solve colorization on that mask through the command line."""
+    rgb, mask = str(scene_dir / "000_rgb.ppm"), out / f"{name}-{method}-mask.pgm"
+    run(out, f"sample-{name}-{method}", ["sample", "--method", method, "--rate", "0.0025",
+                                         "--in", rgb, "--out", str(mask)])
+    sparse = imagedata.apply_mask(imagedata.load_pgm16(scene_dir / "000_depth.pgm"),
+                                  imagedata.load_mask(mask))
+    imagedata.save_pgm16(sparse, out / f"{name}-sparse.pgm")
+    run(out, f"reconstruct-{name}-colorization",
+        ["reconstruct", "--method", "colorization", "--in", str(out / f"{name}-sparse.pgm"),
+         "--rgb", rgb, "--out", str(out / f"{name}-colorization-dense.pgm")])
 
 
 def main(out: Path) -> None:
@@ -155,6 +172,12 @@ def main(out: Path) -> None:
          "--seg-out", str(out / "textured-240x320-sps-seg.pgm")])
     write_nearest(out, "textured-240x320-sps", big_dir / "000_depth.pgm")
 
+    solve_dir = out / "scenes-120x160"
+    run(out, "gen-scenes-120x160", ["gen-scenes", "--out", str(solve_dir), "--count", "1",
+                                    "--kinds", "textured", "--height", "120", "--width", "160",
+                                    "--seed", "7"])
+    colorize(out, "textured-120x160", "random", solve_dir)
+
     strip_dir = out / "scenes-6x90"
     run(out, "gen-scenes-6x90", ["gen-scenes", "--out", str(strip_dir), "--count", "1",
                                  "--kinds", "textured", "--height", "6", "--width", "90",
@@ -190,14 +213,7 @@ def main(out: Path) -> None:
         ["pipeline", "--in", str(flat_dir), "--out", str(out / "report-flat.csv"),
          "--cells-out", str(out / "cells-flat.csv"), "--method", "random,grid,poisson,sps",
          "--recon", "colorization", "--rate", "0.0025"])
-    run(out, "sample-flat-grid", ["sample", "--method", "grid", "--rate", "0.0025",
-                                  "--in", str(flat_dir / "000_rgb.ppm"),
-                                  "--out", str(out / "flat-grid-mask.pgm")])
-    sparse = imagedata.apply_mask(flat, imagedata.load_mask(out / "flat-grid-mask.pgm"))
-    imagedata.save_pgm16(sparse, out / "flat-sparse.pgm")
-    run(out, "reconstruct-flat-colorization",
-        ["reconstruct", "--method", "colorization", "--in", str(out / "flat-sparse.pgm"),
-         "--rgb", str(flat_dir / "000_rgb.ppm"), "--out", str(out / "flat-colorization-dense.pgm")])
+    colorize(out, "flat", "grid", flat_dir)
     holed_dir = out / "scenes-holed"
     holed_dir.mkdir()
     for kind, seed, rate, hole in (("piecewise-constant", 0, "0.01", 29),

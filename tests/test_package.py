@@ -1,11 +1,16 @@
 """The package surface: every name in a layer module's ``__all__``, and only
-those, imports from ``depthsample``."""
+those, imports from ``depthsample``; and every demo imports against it."""
+import importlib.util
 import types
+from pathlib import Path
+
+import pytest
 
 import depthsample
 from depthsample import evaluate, imagedata, reconstruct, samplers, scenes, ssa, superpixel
 
 LAYERS = (imagedata, samplers, superpixel, ssa, reconstruct, scenes, evaluate)
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 def test_all_lists_each_name_once():
@@ -31,3 +36,16 @@ def test_star_import_binds_no_module():
     exec("from depthsample import *", namespace)
     modules = sorted(k for k, v in namespace.items() if isinstance(v, types.ModuleType))
     assert modules == []
+
+
+def test_the_four_demos_are_found():
+    assert [p.stem for p in DEMOS] == ["reconstruction_comparison", "sampling_patterns",
+                                       "soft_sampling_anneal", "trend_experiments"]
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_each_demo_loads_without_running(path):
+    """Loading a demo runs its imports but not its main block, so a renamed
+    or removed package name fails here rather than only when it is run."""
+    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
