@@ -31,11 +31,11 @@ with every sampler and through ``reconstruct --method colorization`` on a
 ``grid`` mask; ``reconstruct --method colorization`` on a ``random`` mask of
 one 120x160 ``textured`` scene, a solve long enough for OpenBLAS to thread
 its vector operations, so that listings under ``OPENBLAS_NUM_THREADS=1``
-and ``2`` must be identical; ``ssa-refined`` on two 60x80 scenes whose ground truth has
-no valid depth in one superpixel (``piecewise-constant`` seed 0 at
-``--rate 0.01`` without superpixel 29, and ``planar-ramp`` seed 3 at
-``--rate 0.0025`` without superpixel 5, whose sample's 5x5 window holds no
-valid depth either), with the scenes, the mask, ``--samples-out`` and the
+and ``2`` must be identical; ``ssa-refined`` on two 60x80 scenes whose
+ground truth has no valid depth in one superpixel (``piecewise-constant``
+seed 0 at ``--rate 0.01`` without superpixel 29, and ``planar-ramp`` seed 3
+at ``--rate 0.0025`` without superpixel 5, whose sample's 5x5 window holds
+no valid depth either), with the scenes, the mask, ``--samples-out`` and the
 command log of each; ``grad-check`` over 200 cases; the jitter and staleness
 experiment rows at full precision, with jitter also over seeds 0-2 (so that
 range 0 shares one mask among three cells) and staleness also on a static
@@ -87,7 +87,7 @@ def write_nearest(out: Path, name: str, depth_path: Path) -> None:
 
 
 def colorize(out: Path, name: str, method: str, scene_dir: Path) -> None:
-    """Sample scene 000 of a directory at 48 samples per 120x160 pixels and
+    """Sample scene 000 of a directory with ``method`` at rate 0.0025 and
     solve colorization on that mask through the command line."""
     rgb, mask = str(scene_dir / "000_rgb.ppm"), out / f"{name}-{method}-mask.pgm"
     run(out, f"sample-{name}-{method}", ["sample", "--method", method, "--rate", "0.0025",
