@@ -109,30 +109,13 @@ class SuperpixelSummary:
     counts: np.ndarray     # (N,) member count or soft mass
 
 
-def _combined_distance(lab_values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                       seed: np.ndarray, m: float, step: float) -> np.ndarray:
-    """d = color norm + m * spatial norm / S against seed rows of any leading shape."""
-    dc = np.sqrt(np.sum((lab_values - seed[..., :3]) ** 2, axis=-1))
-    ds = np.sqrt((xs - seed[..., 3]) ** 2 + (ys - seed[..., 4]) ** 2)
-    return dc + m * ds / step
-
-
-def _window_distances(planes: np.ndarray, seeds: np.ndarray, xs: np.ndarray,
-                      ys: np.ndarray, m: float, step: float) -> np.ndarray:
-    """Combined distance from each seed to every cell of its window.
-
-    ``planes`` is the Lab image channel-first, (3, H, W); row s of ``xs`` and
-    ``ys`` holds the columns and rows of seed s's window.  The result,
-    (k, rows, columns), equals ``_combined_distance`` element by element;
-    cells off the image read the nearest pixel on it.
-    """
-    _, h, w = planes.shape
-    flat = (np.clip(ys, 0, h - 1) * w)[:, :, None] + np.clip(xs, 0, w - 1)[:, None, :]
-    sq = [np.square(plane.ravel()[flat] - seeds[:, c, None, None])
-          for c, plane in enumerate(planes)]
+def _combined_distance(planes, xs: np.ndarray, ys: np.ndarray, seed: np.ndarray,
+                       m: float, step: float) -> np.ndarray:
+    """d = color norm + m * spatial norm / S against seed rows of any leading shape;
+    ``planes`` yields the L, a and b channels in turn, as a (3, ...) array does."""
+    sq = [np.square(plane - seed[..., c]) for c, plane in enumerate(planes)]
     dc = np.sqrt((sq[0] + sq[1]) + sq[2])
-    ds = np.sqrt(np.square(xs - seeds[:, 3:4])[:, None, :]
-                 + np.square(ys - seeds[:, 4:5])[:, :, None])
+    ds = np.sqrt(np.square(xs - seed[..., 3]) + np.square(ys - seed[..., 4]))
     return dc + m * ds / step
 
 
@@ -145,11 +128,11 @@ def _assign(lab: LabImage, seeds: np.ndarray, step: float, m: float,
     the lower seed id wins.  Pixels outside every window keep their previous
     label (or fall back to a global nearest-seed pass on the first sweep).
 
-    The windows' distances are computed a block of seeds at a time; the merge
+    The windows' distances are computed a block of seeds and one channel
+    gather at a time (cells off the image read the nearest pixel); the merge
     then walks the block's seeds in id order and only compares and copies.
     """
     h, w = lab.height, lab.width
-    values = lab.values
     best = np.full((h, w), np.inf)
     labels = np.full((h, w), -1, dtype=np.int32) if prev_labels is None else prev_labels.copy()
     half = max(1, int(math.ceil(step)))
@@ -159,11 +142,14 @@ def _assign(lab: LabImage, seeds: np.ndarray, step: float, m: float,
     x0, x1 = np.maximum(xs[:, 0], 0).tolist(), np.minimum(xs[:, -1], w - 1).tolist()
     y0, y1 = np.maximum(ys[:, 0], 0).tolist(), np.minimum(ys[:, -1], h - 1).tolist()
     ox, oy = xs[:, 0].tolist(), ys[:, 0].tolist()
-    planes = np.moveaxis(values, 2, 0).copy()
+    planes = np.moveaxis(lab.values, 2, 0).reshape(3, -1)
+    cols, rows = np.clip(xs, 0, w - 1), np.clip(ys, 0, h - 1) * w
     block = max(1, _WINDOW_BLOCK // len(offsets) ** 2)
     for lo in range(0, len(seeds), block):
         hi = min(lo + block, len(seeds))
-        d = _window_distances(planes, seeds[lo:hi], xs[lo:hi], ys[lo:hi], m, step)
+        flat = rows[lo:hi, :, None] + cols[lo:hi, None, :]
+        d = _combined_distance((p[flat] for p in planes), xs[lo:hi, None, :],
+                               ys[lo:hi, :, None], seeds[lo:hi, None, None], m, step)
         for s in range(lo, hi):
             if x1[s] < x0[s] or y1[s] < y0[s]:
                 continue
@@ -176,11 +162,9 @@ def _assign(lab: LabImage, seeds: np.ndarray, step: float, m: float,
     missed = labels < 0
     if np.any(missed):
         ys, xs = np.nonzero(missed)
-        pix = values[ys, xs]
-        d_all = np.empty((len(ys), len(seeds)))
-        for s, row in enumerate(seeds):
-            d_all[:, s] = _combined_distance(pix, xs, ys, row, m, step)
-        labels[ys, xs] = np.argmin(d_all, axis=1)
+        d = _combined_distance(planes[:, missed.ravel(), None], xs[:, None], ys[:, None],
+                               seeds, m, step)
+        labels[missed] = np.argmin(d, axis=1)
     return labels
 
 
@@ -385,7 +369,7 @@ def soft_association(seg: Segmentation, lab: LabImage, m: float = DEFAULT_M,
         sid = np.where(inside, r * cols + c, 0)
         present = inside & (sid < n)
         sid = np.where(present, sid, 0)
-        d = _combined_distance(lab.values, xs, ys, seg.seeds[sid], m, seg.step)
+        d = _combined_distance(np.moveaxis(lab.values, 2, 0), xs, ys, seg.seeds[sid], m, seg.step)
         ids[:, :, slot] = np.where(present, sid, -1)
         score[:, :, slot] = np.where(present, -d / tau, -np.inf)
 

@@ -231,7 +231,8 @@ def _reference_assign(lab, seeds, step, m, prev_labels):
         if x1 < x0 or y1 < y0:
             continue
         xs, ys = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
-        d = superpixel._combined_distance(values[y0:y1 + 1, x0:x1 + 1], xs, ys, row, m, step)
+        d = superpixel._combined_distance(np.moveaxis(values[y0:y1 + 1, x0:x1 + 1], 2, 0),
+                                          xs, ys, row, m, step)
         win_best = best[y0:y1 + 1, x0:x1 + 1]
         better = d < win_best
         win_best[better] = d[better]
@@ -243,7 +244,7 @@ def _reference_assign(lab, seeds, step, m, prev_labels):
         pix = values[ys, xs]
         d_all = np.empty((len(ys), len(seeds)))
         for s, row in enumerate(seeds):
-            d_all[:, s] = superpixel._combined_distance(pix, xs, ys, row, m, step)
+            d_all[:, s] = superpixel._combined_distance(pix.T, xs, ys, row, m, step)
         labels[ys, xs] = np.argmin(d_all, axis=1)
     return labels
 
@@ -277,25 +278,18 @@ def _assert_slic_matches_reference(lab, n, m, monkeypatch):
 
 
 @pytest.mark.parametrize("m", [0.0, 0.37, 1.0, 10.0])
-def test_window_distances_equal_the_per_seed_distance(m):
-    """Every in-image cell of every window, bit for bit, for seeds anywhere
-    on (and just off) a random image and a non-integer spacing."""
+def test_assign_matches_the_reference_for_seeds_on_and_off_the_image(m):
+    """Both sweeps, bit for bit, for seeds anywhere on (and just off) a
+    random image and a non-integer spacing, so that windows are clipped."""
     rng = np.random.default_rng(12)
     lab = _random_img(23, 31, 4).to_lab()
-    step, half = 4.3, 5
+    step = 4.3
     seeds = np.column_stack([rng.uniform(-60, 60, size=(40, 3)),
                              rng.uniform(-2, 32, size=40), rng.uniform(-2, 24, size=40)])
-    offsets = np.arange(-half, half + 1)
-    xs = nearest_pixel(seeds[:, 3])[:, None] + offsets
-    ys = nearest_pixel(seeds[:, 4])[:, None] + offsets
-    planes = np.moveaxis(lab.values, 2, 0).copy()
-    got = superpixel._window_distances(planes, seeds, xs, ys, m, step)
-    assert got.shape == (40, 2 * half + 1, 2 * half + 1)
-    for s, row in enumerate(seeds):
-        inx, iny = (xs[s] >= 0) & (xs[s] < 31), (ys[s] >= 0) & (ys[s] < 23)
-        gx, gy = np.meshgrid(xs[s][inx], ys[s][iny])
-        want = superpixel._combined_distance(lab.values[gy, gx], gx, gy, row, m, step)
-        assert np.array_equal(got[s][np.ix_(iny, inx)], want)
+    prev = rng.integers(0, 40, size=(23, 31)).astype(np.int32)
+    for prev_labels in (None, prev):
+        got = superpixel._assign(lab, seeds, step, m, prev_labels)
+        assert np.array_equal(got, _reference_assign(lab, seeds, step, m, prev_labels))
 
 
 @pytest.mark.parametrize("m", [0.0, 1.0, 10.0])
