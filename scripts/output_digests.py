@@ -35,8 +35,10 @@ and ``2`` must be identical; ``ssa-refined`` on two 60x80 scenes whose
 ground truth has no valid depth in one superpixel (``piecewise-constant``
 seed 0 at ``--rate 0.01`` without superpixel 29, and ``planar-ramp`` seed 3
 at ``--rate 0.0025`` without superpixel 5, whose sample's 5x5 window holds
-no valid depth either), with the scenes, the mask, ``--samples-out`` and the
-command log of each; ``grad-check`` over 200 cases; the jitter and staleness
+no valid depth either) and on that ``planar-ramp`` scene without only the
+5x5 window around sample 0's nearest pixel, whose superpixel keeps valid
+depth, with the scenes, the mask, ``--samples-out`` and the command log of
+each; ``grad-check`` over 200 cases; the jitter and staleness
 experiment rows at full precision, with jitter also over seeds 0-2 (so that
 range 0 shares one mask among three cells) and staleness also on a static
 four-frame sequence at delays 0 and 2 (so that every delay shares one mask);
@@ -216,16 +218,22 @@ def main(out: Path) -> None:
     colorize(out, "flat", "grid", flat_dir)
     holed_dir = out / "scenes-holed"
     holed_dir.mkdir()
-    for kind, seed, rate, hole in (("piecewise-constant", 0, "0.01", 29),
-                                   ("planar-ramp", 3, "0.0025", 5)):
+    for kind, seed, rate, hole, window in (("piecewise-constant", 0, "0.01", 29, None),
+                                           ("planar-ramp", 3, "0.0025", 5, None),
+                                           ("planar-ramp", 3, "0.0025", 0, 5)):
         scene = scenes.gen_scene(kind, 60, 80, seed)
         n = samplers.target_count(float(rate), 60, 80)
-        labels = superpixel.sps_sample(scene.rgb, n, return_segmentation=True)[1].labels
-        name = f"{kind}-hole{hole}"
+        samples, seg = superpixel.sps_sample(scene.rgb, n, return_segmentation=True)
+        if window is None:  # superpixel ``hole``
+            name, cut = f"{kind}-hole{hole}", seg.labels == hole
+        else:  # the window around sample ``hole``'s nearest pixel
+            name, cut = f"{kind}-window{window}-hole{hole}", np.zeros((60, 80), dtype=bool)
+            (x, y), half = imagedata.nearest_pixel(samples.locations[hole]), window // 2
+            cut[y - half:y + half + 1, x - half:x + half + 1] = True
         rgb, gt = holed_dir / f"{name}_rgb.ppm", holed_dir / f"{name}_depth.pgm"
         imagedata.save_ppm(scene.rgb, rgb)
         imagedata.save_pgm16(imagedata.DepthMap.from_depth(
-            np.where(labels == hole, 0.0, scene.depth.depth)), gt)
+            np.where(cut, 0.0, scene.depth.depth)), gt)
         run(out, f"sample-{name}-ssa-refined",
             ["sample", "--method", "ssa-refined", "--rate", rate, "--in", str(rgb),
              "--gt", str(gt), "--out", str(out / f"{name}-ssa-refined-mask.pgm"),

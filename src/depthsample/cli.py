@@ -14,13 +14,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
 from . import imagedata, scenes
 from .evaluate import (AGGREGATE_COLUMNS, CELL_COLUMNS, RECONSTRUCTORS, SAMPLERS,
                        ExperimentConfig, mae, report_payload, rmse, run_matrix, sample,
                        write_rows_csv, write_rows_json)
-from .imagedata import (DepthMap, SampleSet, load_pgm16, load_ppm, rgb_to_lab, save_mask,
-                        save_pgm16, save_samples, write_pgm16)
+from .imagedata import (DepthMap, SampleSet, load_pgm16, load_ppm, nearest_pixel, rgb_to_lab,
+                        save_mask, save_pgm16, save_samples, write_pgm16)
 from .reconstruct import (SolverConfig, bilateral_reconstruct,
                           colorization_reconstruct, nn_reconstruct)
 from .samplers import locations_to_mask, target_count
@@ -234,6 +235,10 @@ def _cmd_sample(args) -> int:
         if (gt.height, gt.width) != (h, w):
             raise ValueError("ground-truth depth dimensions differ from the image")
         targets, has_depth = _superpixel_depth_targets(seg.labels, gt, len(locations))
+        # a sample with no valid depth in its starting soft window has no target either
+        near_depth = ndimage.maximum_filter(gt.valid, size=cfg.window, mode="constant")
+        x, y = nearest_pixel(locations.locations).T
+        has_depth &= near_depth[y, x]
         result = refine_locations(gt, SampleSet(locations.locations[has_depth]),
                                   targets[has_depth], cfg, lr=args.lr, steps=args.refine_steps)
         moved = locations.locations.copy()
@@ -274,10 +279,7 @@ def _cmd_reconstruct(args) -> int:
     if args.method == "nearest":
         dense = nn_reconstruct(sparse)
     else:
-        rgb = load_ppm(args.rgb)
-        if (rgb.height, rgb.width) != (sparse.height, sparse.width):
-            raise ValueError("image and depth dimensions differ")
-        lab = rgb_to_lab(rgb)
+        lab = rgb_to_lab(load_ppm(args.rgb))
         if args.method == "colorization":
             result = colorization_reconstruct(
                 lab, sparse, SolverConfig(args.sigma_c, args.tol, args.max_iters))

@@ -270,12 +270,11 @@ def colorization_reconstruct(lab: LabImage, sparse_depth: DepthMap,
     full = np.where(constrained, sparse_depth.depth.ravel(),
                     nn_reconstruct(sparse_depth).depth.ravel())
     unknown = ~constrained
-    d_c = sparse_depth.depth.ravel()[constrained]
-    rows = graph.laplacian[unknown]
-    A = rows[:, unknown]
+    d_f = np.where(constrained, sparse_depth.depth.ravel(), 0.0)
+    A = graph.laplacian[unknown][:, unknown]
     A.setdiag(A.diagonal() + _LAMBDA)
     start = full[unknown]
-    b = _LAMBDA * start - rows[:, constrained] @ d_c
+    b = _LAMBDA * start - (graph.laplacian @ d_f)[unknown]
 
     x, converged, iters = _jacobi_cg(A, b, start, cfg.tol, cfg.max_iters)
     # one true residual gives both reports; ||x - x*|| <= ||b - A x|| / lambda
@@ -285,6 +284,7 @@ def colorization_reconstruct(lab: LabImage, sparse_depth: DepthMap,
 
     # The exact solution is a convex combination of the samples, so clipping
     # the approximate one to their range only ever moves it closer to exact.
+    d_c = d_f[constrained]
     full[unknown] = np.clip(x, d_c.min(), d_c.max())
     dense = DepthMap(full.reshape(h, w), np.ones((h, w), dtype=bool))
     return ColorizationResult(dense, converged, iters, residual, bound)

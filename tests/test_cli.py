@@ -21,6 +21,7 @@ from depthsample.imagedata import (
     load_mask,
     load_pgm16,
     load_samples,
+    nearest_pixel,
     save_pgm16,
     save_ppm,
 )
@@ -138,14 +139,20 @@ def test_ssa_refined_rasterises_only_the_refined_locations(scene_files, tmp_path
 
 
 
-@pytest.mark.parametrize("kind, seed, rate, hole", [
-    ("piecewise-constant", 0, "0.01", 29),  # the sample would be pulled to (0, 0)
-    ("planar-ramp", 3, "0.0025", 5),  # the window holds no valid depth either
+@pytest.mark.parametrize("kind, seed, rate, sample, window", [
+    # the sample would be pulled to (0, 0)
+    pytest.param("piecewise-constant", 0, "0.01", 29, None, id="piecewise-constant-0-0.01-29"),
+    # the window holds no valid depth either
+    pytest.param("planar-ramp", 3, "0.0025", 5, None, id="planar-ramp-3-0.0025-5"),
+    # only a 5x5 hole around the sample: its superpixel keeps 367 valid pixels
+    pytest.param("planar-ramp", 3, "0.0025", 0, 5, id="planar-ramp-3-0.0025-0-window5"),
 ])
-def test_ssa_refined_leaves_a_sample_without_valid_depth_where_sps_put_it(kind, seed, rate, hole,
-                                                                          tmp_path):
-    """A superpixel whose ground truth has no valid depth gives its sample no
-    target, so refinement leaves that sample at its sps location."""
+def test_ssa_refined_leaves_a_sample_without_valid_depth_where_sps_put_it(kind, seed, rate, sample,
+                                                                          window, tmp_path):
+    """A sample whose superpixel, or whose starting soft window, holds no
+    valid depth in the ground truth has no target, so refinement leaves it
+    at its sps location.  ``window`` None empties the sample's superpixel;
+    a size empties that window around the sample's nearest pixel."""
     scene = gen_scene(kind, 60, 80, seed)
     rgb, gt = tmp_path / "rgb.ppm", tmp_path / "gt.pgm"
     save_ppm(scene.rgb, rgb)
@@ -153,14 +160,20 @@ def test_ssa_refined_leaves_a_sample_without_valid_depth_where_sps_put_it(kind, 
     assert cli(["sample", "--method", "sps", "--rate", rate, "--in", str(rgb),
                 "--out", str(tmp_path / "sps.pgm"), "--samples-out", str(sps_locs),
                 "--seg-out", str(seg)]) == 0
-    labels = load_pgm16(seg).depth
-    save_pgm16(DepthMap.from_depth(np.where(labels == hole, 0.0, scene.depth.depth)), gt)
+    before = load_samples(sps_locs).locations
+    if window is None:
+        hole = load_pgm16(seg).depth == sample
+    else:
+        hole = np.zeros((60, 80), dtype=bool)
+        (x, y), half = nearest_pixel(before[sample]), window // 2
+        hole[y - half:y + half + 1, x - half:x + half + 1] = True
+    save_pgm16(DepthMap.from_depth(np.where(hole, 0.0, scene.depth.depth)), gt)
     refined_locs = tmp_path / "refined.csv"
     assert cli(["sample", "--method", "ssa-refined", "--rate", rate, "--in", str(rgb),
                 "--gt", str(gt), "--out", str(tmp_path / "refined.pgm"),
                 "--samples-out", str(refined_locs)]) == 0
-    before, after = load_samples(sps_locs).locations, load_samples(refined_locs).locations
-    assert np.array_equal(after[hole], before[hole])
+    assert np.array_equal(load_samples(refined_locs).locations[sample], before[sample])
+
 
 def test_reconstruct_nearest_round_trip(scene_files, tmp_path):
     scene, rgb, depth = scene_files
@@ -247,13 +260,16 @@ def test_pipeline_colorizes_a_flat_wall_with_every_sampler(flat_wall, tmp_path, 
 
 
 def test_reconstruct_rejects_mismatched_dimensions(scene_files, tmp_path, capsys):
+    """Both reconstructors that read an image reject one of another size."""
     _, rgb, _ = scene_files
-    other = gen_scene("planar-ramp", 8, 8, 1)
     depth_path = tmp_path / "odd.pgm"
-    save_pgm16(other.depth, depth_path)
-    code = cli(["reconstruct", "--method", "colorization", "--rgb", str(rgb),
-                "--in", str(depth_path), "--out", str(tmp_path / "d.pgm")])
-    assert code == 2
+    save_pgm16(gen_scene("planar-ramp", 8, 8, 1).depth, depth_path)
+    for method in ("colorization", "bilateral"):
+        out = tmp_path / f"{method}.pgm"
+        assert cli(["reconstruct", "--method", method, "--rgb", str(rgb),
+                    "--in", str(depth_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: image and depth dimensions differ\n"
+        assert not out.exists()
 
 
 def test_eval_identical_files_prints_zero(scene_files, tmp_path, capsys):
