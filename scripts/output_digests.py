@@ -38,17 +38,21 @@ at ``--rate 0.0025`` without superpixel 5, whose sample's 5x5 window holds
 no valid depth either) and on that ``planar-ramp`` scene without only the
 5x5 window around sample 0's nearest pixel, whose superpixel keeps valid
 depth, with the scenes, the mask, ``--samples-out`` and the command log of
-each; ``grad-check`` over 200 cases; the jitter and staleness
-experiment rows at full precision, with jitter also over seeds 0-2 (so that
-range 0 shares one mask among three cells) and staleness also on a static
-four-frame sequence at delays 0 and 2 (so that every delay shares one mask);
+each; ``sample --method poisson --rate 1.0 --seed 2`` on a uniform grey 1x7
+image, a budget that Poisson-disk sampling cannot fill (exit 2), with the
+image and the command log; ``grad-check`` over 200 cases; the jitter and
+staleness experiment rows at full precision, with jitter also over seeds
+0-2 (so that range 0 shares one mask among three cells) and staleness also
+on a static four-frame sequence at delays 0 and 2 (so that every delay
+shares one mask);
 the jitter and staleness runs again with ``workers=2`` as ``jitter-w2.txt``
 and ``temporal-w2.txt``, whose hashes must equal those of ``jitter.txt`` and
 ``temporal.txt``; the ``--help`` text of the parser and of each subcommand
 at a fixed ``COLUMNS``; and ``sorted(depthsample.__all__)``.
 The exit code, stdout and stderr of every command are outputs too, with
 OUTDIR written as ``<out>`` so that listings from different directories
-compare equal.
+compare equal; a command that raises logs the exception in place of its
+exit code.
 """
 from __future__ import annotations
 
@@ -77,6 +81,8 @@ def run(out: Path, name: str, argv: list[str]) -> None:
             code = cli.cli(argv)
         except SystemExit as exc:  # argparse exits after printing --help
             code = exc.code
+        except Exception as exc:  # a crash is an output too, so checkouts still compare
+            code = f"raised {type(exc).__name__}: {exc}"
     log = f"exit {code}\n{stdout.getvalue()}{stderr.getvalue()}"
     (out / f"{name}.log").write_text(log.replace(str(out), "<out>"))
 
@@ -238,6 +244,11 @@ def main(out: Path) -> None:
             ["sample", "--method", "ssa-refined", "--rate", rate, "--in", str(rgb),
              "--gt", str(gt), "--out", str(out / f"{name}-ssa-refined-mask.pgm"),
              "--samples-out", str(out / f"{name}-ssa-refined-locs.csv")])
+    strip = out / "strip-1x7.ppm"  # Bridson places only 6 of its 7 pixels at seed 2
+    imagedata.save_ppm(imagedata.RgbImage(np.full((1, 7, 3), 128, dtype=np.uint8)), strip)
+    run(out, "sample-strip-1x7-poisson",
+        ["sample", "--method", "poisson", "--rate", "1.0", "--seed", "2", "--in", str(strip),
+         "--out", str(out / "strip-1x7-poisson-mask.pgm")])
     run(out, "grad-check", ["grad-check", "--cases", "200"])
 
     cfg = evaluate.ExperimentConfig(samplers=("random", "grid", "poisson", "sps"),

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 from scipy import sparse as sp
 
 from .imagedata import DepthMap, LabImage
@@ -32,11 +33,6 @@ __all__ = [
     "nn_reconstruct",
     "bilateral_reconstruct",
 ]
-
-# side of the pixel blocks that share one nearest-sample candidate list, and
-# the element budget of one group's pixel x candidate distance table
-_BLOCK = 8
-_NN_BUDGET = 2_000_000
 
 _OFFSETS_8 = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
 
@@ -172,61 +168,22 @@ def _jacobi_cg(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray,
     return x, False, max_iters
 
 
-def _block_extent(start: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis distance from each sample to the nearest and farthest pixel of
-    each block, whose pixels along this axis are start .. start + _BLOCK - 1."""
-    offset = coords - start[:, None]
-    near = np.maximum(np.maximum(-offset, offset - (_BLOCK - 1)), 0)
-    far = np.maximum(offset, (_BLOCK - 1) - offset)
-    return near, far
-
-
 def nn_reconstruct(sparse_depth: DepthMap) -> DepthMap:
     """Assign every pixel the depth of its nearest valid sample, exactly.
 
     Distances are Euclidean between pixel centers; ties go to the sample
-    with the smaller index in row-major scan order.  Computed with exact
-    integer squared distances, so tie handling has no float ambiguity.
-
-    The image is tiled into _BLOCK x _BLOCK blocks.  With U the smallest
-    distance over all samples to a block's farthest pixel, every pixel of
-    the block has a sample within U, so its nearest samples, ties included,
-    are among those whose distance to the block's nearest pixel is at most
-    U.  Each pixel takes the argmin over that candidate list, kept in
-    ascending sample index and padded at the end with its first entry, so
-    the first minimum is the row-major tie rule.  Blocks go in groups small
-    enough that the pixel x candidate table stays within _NN_BUDGET
-    elements even when every sample is a candidate (up to _NN_BUDGET /
-    _BLOCK**2 samples).
+    with the smaller index in row-major scan order.  One exact Euclidean
+    feature transform (Maurer, Qi and Raghavan, TPAMI 2003) gives each
+    pixel's nearest sample.  scipy's breaks a tie toward the smaller
+    column-major index, so it runs on the transposed mask; the tests pin
+    the rule against a brute force, also where the two orders disagree.
     """
-    ys, xs = np.nonzero(sparse_depth.valid)
-    if len(ys) == 0:
+    if not sparse_depth.valid.any():
         raise ValueError("cannot reconstruct from a depth map with no valid samples")
-    values = sparse_depth.depth[ys, xs]
-    h, w = sparse_depth.height, sparse_depth.width
-    rows, cols = -(-h // _BLOCK), -(-w // _BLOCK)
-    blocks = rows * cols
-    nearest = np.empty((blocks, _BLOCK * _BLOCK), dtype=np.int64)
-    span = np.arange(_BLOCK)
-    group = max(1, _NN_BUDGET // (_BLOCK * _BLOCK * len(ys)))
-    for start in range(0, blocks, group):
-        ids = np.arange(start, min(start + group, blocks))
-        top, left = ids // cols * _BLOCK, ids % cols * _BLOCK
-        near_y, far_y = _block_extent(top, ys)
-        near_x, far_x = _block_extent(left, xs)
-        bound = (far_y * far_y + far_x * far_x).min(axis=1)
-        block, cand = np.nonzero(near_y * near_y + near_x * near_x <= bound[:, None])
-        count = np.bincount(block, minlength=len(ids))
-        first = np.cumsum(count) - count
-        table = np.repeat(cand[first][:, None], count.max(), axis=1)
-        table[block, np.arange(len(block)) - first[block]] = cand
-        dy2 = ((top[:, None] + span)[:, :, None] - ys[table][:, None, :]) ** 2
-        dx2 = ((left[:, None] + span)[:, :, None] - xs[table][:, None, :]) ** 2
-        best = (dy2[:, :, None, :] + dx2[:, None, :, :]).argmin(axis=3)
-        nearest[ids] = np.take_along_axis(table, best.reshape(len(ids), -1), axis=1)
-    grid = nearest.reshape(rows, cols, _BLOCK, _BLOCK).transpose(0, 2, 1, 3)
-    out = values[grid.reshape(rows * _BLOCK, cols * _BLOCK)[:h, :w]]
-    return DepthMap(out, np.ones((h, w), dtype=bool))
+    xs, ys = ndimage.distance_transform_edt(~sparse_depth.valid.T, return_distances=False,
+                                            return_indices=True)
+    out = sparse_depth.depth[ys.T, xs.T]
+    return DepthMap(out, np.ones(out.shape, dtype=bool))
 
 
 def colorization_reconstruct(lab: LabImage, sparse_depth: DepthMap,
@@ -267,10 +224,9 @@ def colorization_reconstruct(lab: LabImage, sparse_depth: DepthMap,
 
     if graph is None:
         graph = build_affinity(lab, cfg.sigma_c)
-    full = np.where(constrained, sparse_depth.depth.ravel(),
-                    nn_reconstruct(sparse_depth).depth.ravel())
+    full = nn_reconstruct(sparse_depth).depth.flatten()
     unknown = ~constrained
-    d_f = np.where(constrained, sparse_depth.depth.ravel(), 0.0)
+    d_f = sparse_depth.depth.ravel()
     A = graph.laplacian[unknown][:, unknown]
     A.setdiag(A.diagonal() + _LAMBDA)
     start = full[unknown]

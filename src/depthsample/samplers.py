@@ -24,7 +24,8 @@ __all__ = [
 
 
 class CapacityError(ValueError):
-    """More samples requested than the image has pixels."""
+    """More samples requested than the image has room for: more than it has
+    pixels, or more than Poisson-disk sampling can place at radius 1."""
 
 
 def _check_capacity(n_samples: int, height: int, width: int) -> None:
@@ -192,7 +193,7 @@ def poisson_mask(height: int, width: int, n_samples: int, seed: int,
     rng = np.random.default_rng([seed, best_iter])
     pts = _bridson(height, width, best_r, rng, stop_at=None)
     if len(pts) < n_samples:
-        raise RuntimeError(
+        raise CapacityError(
             f"poisson sampling saturated at {len(pts)} < {n_samples} points; "
             "the image is too small for this budget")
     if len(pts) > n_samples:

@@ -67,6 +67,16 @@ def test_corrupt_depth_file_is_a_data_error(tmp_path, capsys):
     assert cli(["eval", "--est", str(bad), "--gt", str(bad)]) == 2
 
 
+def test_unfillable_poisson_budget_is_a_data_error(tmp_path, capsys):
+    rgb, out = tmp_path / "strip.ppm", tmp_path / "mask.pgm"
+    save_ppm(RgbImage(np.full((1, 7, 3), 128, dtype=np.uint8)), rgb)
+    code = cli(["sample", "--method", "poisson", "--rate", "1.0", "--seed", "2",
+                "--in", str(rgb), "--out", str(out)])
+    assert code == 2
+    assert "error: poisson sampling saturated at 6 < 7 points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_grid_writes_mask_with_exact_budget(scene_files, tmp_path, capsys):
     _, rgb, _ = scene_files
     out = tmp_path / "mask.pgm"

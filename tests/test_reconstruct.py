@@ -439,6 +439,12 @@ def test_nn_tie_goes_to_earlier_sample():
     depth = np.array([[111.0, 0.0, 222.0]])
     out = nn_reconstruct(_sparse(depth, mask))
     assert out.depth[0, 1] == 111.0
+    # the centre of a 3x3 image ties between (x=2, y=0) and (x=0, y=2); the
+    # first comes earlier in row-major order but later in column-major order
+    depth = np.zeros((3, 3))
+    depth[0, 2], depth[2, 0] = 111.0, 222.0
+    out = nn_reconstruct(_sparse(depth, depth > 0))
+    assert out.depth[1, 1] == 111.0
 
 
 def _reference_nn(sparse_depth):
@@ -476,8 +482,8 @@ def _random_mask(h, w, n, seed):
 
 
 def _corner_mask():
-    """2,304 samples filling one 48x48 corner of a 240x960 image: far blocks
-    keep hundreds of candidates, the search's worst case."""
+    """2,304 samples filling one 48x48 corner of a 240x960 image, so most
+    pixels lie far from every sample."""
     mask = np.zeros((240, 960), dtype=bool)
     mask[:48, :48] = True
     return mask
@@ -508,7 +514,7 @@ def _strip_masks():
 
 
 def _ragged_masks():
-    """Sides that are not multiples of the block side."""
+    """Non-square images with sides of assorted lengths."""
     return [_random_mask(h, w, n, seed) for seed, (h, w, n) in
             enumerate(((13, 21, 4), (7, 9, 2), (29, 11, 6), (57, 59, 17), (15, 100, 9)))]
 
@@ -545,8 +551,8 @@ def test_nn_matches_brute_force_at_sensor_sizes(mask):
     pytest.param(_corner_mask(), id="240x960-corner"),
 ])
 def test_nn_peak_memory_stays_bounded(mask):
-    """The brute force peaks at 51-53 MiB here; candidate tables that are not
-    processed in bounded groups reach 229 MiB to 1.6 GiB."""
+    """The brute force peaks at 51-53 MiB here and the feature transform at
+    6-8 MiB; a full pixel x sample distance table would take 1.8-4.0 GiB."""
     sparse = _random_depth_sparse(mask)
     tracemalloc.start()
     try:

@@ -141,6 +141,12 @@ def test_poisson_mask_min_distance():
     assert dmin >= 8.0
 
 
+def test_poisson_mask_saturation_is_a_capacity_error():
+    # Bridson places at most 6 points on a 1x7 strip at seed 2, even at radius 1
+    with pytest.raises(CapacityError, match="saturated at 6 < 7"):
+        poisson_mask(1, 7, 7, 2)
+
+
 def test_poisson_mask_deterministic():
     a = poisson_mask(48, 48, 20, seed=4)
     b = poisson_mask(48, 48, 20, seed=4)
