@@ -51,8 +51,7 @@ def refine():
     print(f"\nrefining one sample toward a {target[0]:.0f} mm target:")
     print(f"  start ({start[0, 0]:.2f}, {start[0, 1]:.2f})  "
           f"loss {result.losses[0]:.3e}")
-    print(f"  end   ({end[0]:.2f}, {end[1]:.2f})  loss {result.losses[-1]:.3e}"
-          f"{'  (stopped early: loss rose)' if result.diverged else ''}")
+    print(f"  end   ({end[0]:.2f}, {end[1]:.2f})  loss {result.losses[-1]:.3e}")
     (px, _), depth = hard_sample(d, end)
     side = "far (4000 mm)" if px >= 8 else "near (1000 mm)"
     print(f"  the sample now reads {depth:.0f} mm from the {side} side of the step")

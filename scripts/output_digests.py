@@ -38,9 +38,12 @@ at ``--rate 0.0025`` without superpixel 5, whose sample's 5x5 window holds
 no valid depth either) and on that ``planar-ramp`` scene without only the
 5x5 window around sample 0's nearest pixel, whose superpixel keeps valid
 depth, with the scenes, the mask, ``--samples-out`` and the command log of
-each; ``sample --method poisson --rate 1.0 --seed 2`` on a uniform grey 1x7
-image, a budget that Poisson-disk sampling cannot fill (exit 2), with the
-image and the command log; ``grad-check`` over 200 cases; the jitter and
+each; ``ssa-refined`` on a 30x60 map whose depth steps from 1000 to
+4000 mm at x = 19 and whose columns 24-39 hold no valid depth, where one
+sample's first step would land in that hole; ``sample --method poisson
+--rate 1.0 --seed 2`` on a uniform grey 1x7 image, a budget that
+Poisson-disk sampling cannot fill (exit 2), with the image and the command
+log; ``grad-check`` over 200 cases; the jitter and
 staleness experiment rows at full precision, with jitter also over seeds
 0-2 (so that range 0 shares one mask among three cells) and staleness also
 on a static four-frame sequence at delays 0 and 2 (so that every delay
@@ -244,6 +247,19 @@ def main(out: Path) -> None:
             ["sample", "--method", "ssa-refined", "--rate", rate, "--in", str(rgb),
              "--gt", str(gt), "--out", str(out / f"{name}-ssa-refined-mask.pgm"),
              "--samples-out", str(out / f"{name}-ssa-refined-locs.csv")])
+    # sps puts sample 0 at (17.5, 14.5); its first step toward the 2542 mm
+    # mean of its superpixel (x < 36) would land at x = 32.13, inside the hole
+    rgb, gt = holed_dir / "walk-into-hole_rgb.ppm", holed_dir / "walk-into-hole_depth.pgm"
+    grey = np.full((30, 60, 3), 128, dtype=np.uint8)
+    grey[:, 36:] = (40, 200, 90)
+    imagedata.save_ppm(imagedata.RgbImage(grey), rgb)
+    row = np.select([np.arange(60) < 2, np.arange(60) < 19], [12000.0, 1000.0], 4000.0)
+    row[24:40] = 0.0
+    imagedata.save_pgm16(imagedata.DepthMap.from_depth(np.tile(row, (30, 1))), gt)
+    run(out, "sample-walk-into-hole-ssa-refined",
+        ["sample", "--method", "ssa-refined", "--rate", "0.001", "--in", str(rgb),
+         "--gt", str(gt), "--out", str(out / "walk-into-hole-ssa-refined-mask.pgm"),
+         "--samples-out", str(out / "walk-into-hole-ssa-refined-locs.csv")])
     strip = out / "strip-1x7.ppm"  # Bridson places only 6 of its 7 pixels at seed 2
     imagedata.save_ppm(imagedata.RgbImage(np.full((1, 7, 3), 128, dtype=np.uint8)), strip)
     run(out, "sample-strip-1x7-poisson",

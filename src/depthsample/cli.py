@@ -14,13 +14,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from . import imagedata, scenes
 from .evaluate import (AGGREGATE_COLUMNS, CELL_COLUMNS, RECONSTRUCTORS, SAMPLERS,
                        ExperimentConfig, mae, report_payload, rmse, run_matrix, sample,
                        write_rows_csv, write_rows_json)
-from .imagedata import (DepthMap, SampleSet, load_pgm16, load_ppm, nearest_pixel, rgb_to_lab,
+from .imagedata import (DepthMap, SampleSet, load_pgm16, load_ppm, rgb_to_lab,
                         save_mask, save_pgm16, save_samples, write_pgm16)
 from .reconstruct import (SolverConfig, bilateral_reconstruct,
                           colorization_reconstruct, nn_reconstruct)
@@ -235,17 +234,11 @@ def _cmd_sample(args) -> int:
         if (gt.height, gt.width) != (h, w):
             raise ValueError("ground-truth depth dimensions differ from the image")
         targets, has_depth = _superpixel_depth_targets(seg.labels, gt, len(locations))
-        # a sample with no valid depth in its starting soft window has no target either
-        near_depth = ndimage.maximum_filter(gt.valid, size=cfg.window, mode="constant")
-        x, y = nearest_pixel(locations.locations).T
-        has_depth &= near_depth[y, x]
         result = refine_locations(gt, SampleSet(locations.locations[has_depth]),
                                   targets[has_depth], cfg, lr=args.lr, steps=args.refine_steps)
         moved = locations.locations.copy()
         moved[has_depth] = result.locations.locations
         locations = SampleSet(moved)
-        if result.diverged:
-            print("refinement diverged; using best locations seen", file=sys.stderr)
         mask = locations_to_mask(locations, h, w)
     else:
         mask = sampled.mask

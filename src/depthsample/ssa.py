@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
 from .imagedata import DepthMap, SampleSet, nearest_pixel
 
@@ -360,11 +361,11 @@ def gradient_check(cases: int = 1000, window: int = SsaConfig.window, seed: int 
 
 @dataclass(frozen=True, eq=False)
 class RefineResult:
-    """Outcome of gradient-based location refinement."""
+    """Refined locations, and each step's total squared error taken at that
+    step's own temperature, so losses are not comparable across steps."""
 
     locations: SampleSet
     losses: np.ndarray
-    diverged: bool
 
 
 def refine_locations(d: DepthMap, samples: SampleSet, targets: np.ndarray,
@@ -373,34 +374,40 @@ def refine_locations(d: DepthMap, samples: SampleSet, targets: np.ndarray,
     """Steer sample locations by descending the soft-sampling loss.
 
     Minimizes sum_s (soft_depth(l_s) - target_s)^2 by gradient descent on the
-    locations, annealing the temperature linearly from the schedule's start
-    at the first step to its end at the last.  This is a demonstration of
-    the gradient flow, not a production optimizer: if the loss rises for ten
-    consecutive steps the run stops and the best locations seen are returned
-    with ``diverged`` set.
+    locations, annealing the temperature linearly from the schedule's start at
+    the first step to its end at the last; ``losses`` are taken at each step's
+    own temperature, so they are not comparable across steps.  Every sample
+    walks all ``steps``, then keeps whichever of its start and end has the lower
+    squared error at ``t_end`` (the end on a tie).  A sample only stands where its
+    window holds valid depth: one whose start window has none is never read and
+    stays put, and a step onto such a window is not taken and ends its walk.
     """
     targets = np.asarray(targets, dtype=np.float64).ravel()
     if len(targets) != len(samples):
         raise ValueError(f"{len(targets)} targets for {len(samples)} samples")
     offsets, bounds = _offsets(cfg.window), (d.width - 1, d.height - 1)
-    locs = samples.locations.copy()
+    # near[y, x]: the window centered on pixel (x, y) holds valid depth
+    near = ndimage.maximum_filter(d.valid, size=cfg.window, mode="constant")
+    start, clipped = samples.locations, np.clip(samples.locations, 0, bounds)
+    x, y = nearest_pixel(clipped).T
+    read = near[y, x] | (clipped != start).any(axis=1)  # a location outside fails its first read
+    start, targets = start[read], targets[read]
+    locs, moving, holes = start.copy(), np.ones(len(start), dtype=bool), not near.all()
     losses = []
-    best_loss, best_locs = np.inf, locs.copy()
-    streak = 0  # consecutive steps on which the loss rose
     for step in range(steps):
         t = cfg.schedule.at(step, steps - 1)
         _check_temperature(t)
         values, gradients = _soft_read(d, locs, offsets, t)[:2]
         err = values - targets
-        total = np.cumsum(np.append(0.0, err * err))[-1]  # a running total in sample order
-        losses.append(total)
-        if total < best_loss:
-            best_loss, best_locs = total, locs.copy()
-        streak = streak + 1 if len(losses) >= 2 and total > losses[-2] else 0
-        if streak >= 10:
-            break
-        locs -= lr * (2.0 * err[:, None] * gradients)
-        np.clip(locs, 0, bounds, out=locs)
-    diverged = streak >= 10
-    final = best_locs if diverged else locs
-    return RefineResult(SampleSet(final), np.array(losses), diverged)
+        losses.append(np.cumsum(np.append(0.0, err * err))[-1])  # a running total in sample order
+        moved = np.clip(locs - lr * (2.0 * err[:, None] * gradients), 0, bounds)
+        if holes:
+            x, y = nearest_pixel(moved).T
+            moving &= near[y, x]
+            moved[~moving] = locs[~moving]
+        locs = moved
+    ends = np.concatenate((start, locs))  # scored together at one temperature
+    err = (_soft_read(d, ends, offsets, cfg.schedule.t_end)[0] - np.tile(targets, 2)) ** 2
+    final = samples.locations.copy()
+    final[read] = np.where((err[:len(start)] < err[len(start):])[:, None], start, locs)
+    return RefineResult(SampleSet(final), np.array(losses))

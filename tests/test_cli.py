@@ -185,6 +185,25 @@ def test_ssa_refined_leaves_a_sample_without_valid_depth_where_sps_put_it(kind, 
     assert np.array_equal(load_samples(refined_locs).locations[sample], before[sample])
 
 
+def test_ssa_refined_does_not_step_a_sample_into_a_depth_hole(tmp_path):
+    """sps puts sample 0 at (17.5, 14.5), by a 1000|4000 mm step at x = 19.
+    Its first step toward its superpixel's 2542 mm mean would land at
+    x = 32.13, whose window lies in the invalid columns 24-39; the step is
+    not taken, so the sample stays where sps put it."""
+    rgb, gt = tmp_path / "rgb.ppm", tmp_path / "gt.pgm"
+    image = np.full((30, 60, 3), 128, dtype=np.uint8)
+    image[:, 36:] = (40, 200, 90)
+    save_ppm(RgbImage(image), rgb)
+    row = np.select([np.arange(60) < 2, np.arange(60) < 19], [12000.0, 1000.0], 4000.0)
+    row[24:40] = 0.0
+    save_pgm16(DepthMap.from_depth(np.tile(row, (30, 1))), gt)
+    locs = tmp_path / "refined.csv"
+    assert cli(["sample", "--method", "ssa-refined", "--rate", "0.001", "--in", str(rgb),
+                "--gt", str(gt), "--out", str(tmp_path / "refined.pgm"),
+                "--samples-out", str(locs)]) == 0
+    assert load_samples(locs).locations.tolist() == [[17.5, 14.5], [47.5, 14.5]]
+
+
 def test_reconstruct_nearest_round_trip(scene_files, tmp_path):
     scene, rgb, depth = scene_files
     sparse_path = tmp_path / "sparse.pgm"

@@ -1,6 +1,7 @@
 """The package surface: every name in a layer module's ``__all__``, and only
 those, imports from ``depthsample``; and every demo imports against it."""
 import importlib.util
+import runpy
 import types
 from pathlib import Path
 
@@ -49,3 +50,10 @@ def test_each_demo_loads_without_running(path):
     or removed package name fails here rather than only when it is run."""
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def test_the_anneal_demo_runs(capsys):
+    """The anneal demo is small enough to run whole; it walks its sample
+    across the step."""
+    runpy.run_path(str(DEMOS[0].parent / "soft_sampling_anneal.py"), run_name="__main__")
+    assert "from the far (4000 mm) side of the step" in capsys.readouterr().out

@@ -7,7 +7,7 @@ import pytest
 
 from depthsample import ssa
 from depthsample.imagedata import DepthMap, SampleSet, nearest_pixel
-from depthsample.scenes import gen_scene
+from depthsample.scenes import SCENE_KINDS, gen_scene
 from depthsample.ssa import (
     SamplingError,
     SsaConfig,
@@ -301,7 +301,6 @@ def test_refine_stays_put_when_targets_already_met():
     targets = np.array([ssa_sample(d, l, cfg).value for l in locs])
     res = refine_locations(d, SampleSet(locs), targets, cfg, lr=1e-5, steps=50)
     assert np.allclose(res.locations.locations, locs, atol=1e-9)
-    assert not res.diverged
 
 
 def test_single_step_refinement_runs_at_start_temperature():
@@ -345,13 +344,50 @@ def test_refine_reports_loss_trajectory():
     assert res.losses[-1] < res.losses[0]
 
 
+def _step_into_hole():
+    """1000 mm left of x = 20 and 4000 mm from it, with columns 24-39 invalid."""
+    depth = np.tile(np.where(np.arange(60) < 20, 1000.0, 4000.0), (30, 1))
+    valid = np.ones((30, 60), dtype=bool)
+    valid[:, 24:40] = False
+    return DepthMap(np.where(valid, depth, 0.0), valid)
+
+
+def test_refine_does_not_step_into_a_window_without_valid_depth():
+    # the first step toward the 20000 mm target would land at x = 27.33,
+    # whose 5x5 window lies inside the hole
+    d = _step_into_hole()
+    start = np.array([[17.6, 15.0]])
+    res = refine_locations(d, SampleSet(start), np.array([20000.0]))
+    assert len(res.losses) == 200
+    assert ssa_read(d, res.locations.locations).valid.any()
+    assert np.array_equal(res.locations.locations, start)
+
+
+def test_refine_leaves_a_sample_without_a_valid_start_window_unread():
+    d = _step_into_hole()
+    locs, targets = np.array([[12.3, 4.6], [31.2, 20.0]]), np.array([3000.0, 500.0])
+    res = refine_locations(d, SampleSet(locs), targets, steps=20)
+    alone = refine_locations(d, SampleSet(locs[:1]), targets[:1], steps=20)
+    assert np.array_equal(res.locations.locations, [alone.locations.locations[0], locs[1]])
+    assert np.array_equal(res.losses, alone.losses)
+
+
+@pytest.mark.parametrize("loc", [[60.5, 3.0], [30.0, -0.4]])  # the second is over the hole
+def test_refine_rejects_a_location_outside_the_image(loc):
+    with pytest.raises(ValueError, match=r"outside a 30x60 image"):
+        refine_locations(_step_into_hole(), SampleSet(np.array([loc])), np.array([1.0]))
+
+
 # ---------------------------------------------------------------- batched read-out
 #
 # The per-location read-out and refinement loop that `ssa_read` replaced,
 # kept as the reference.  `ssa_read` reads all locations whose windows hold
 # equally many valid pixels together, over just those pixels, so its sums
 # reduce in the same order as these and every result is compared for exact
-# equality, clipped windows and windows with invalid pixels included.
+# equality, clipped windows and windows with invalid pixels included.  The
+# reference refinement follows `refine_locations`' rules one location at a
+# time: a sample moves only onto a window with valid depth, and it ends at
+# whichever of its start and end reads closer to its target at t_end.
 
 def _reference_window_points(d, location, window):
     x, y = float(location[0]), float(location[1])
@@ -386,34 +422,39 @@ def _reference_ssa_sample(d, location, cfg):
 
 
 def _reference_refine(d, locations, targets, cfg, lr, steps):
+    def has_depth(loc):
+        return len(_reference_window_points(d, loc, cfg.window)[1]) > 0
+
     locs = locations.copy()
+    read = [i for i in range(len(locs)) if has_depth(locs[i])]
+    moving, stopped = set(read), []
     losses = []
-    best_loss, best_locs = np.inf, locs.copy()
-    streak = 0
-    diverged = False
     for step in range(steps):
         step_cfg = replace(cfg, temperature=cfg.schedule.at(step, steps - 1))
         total = 0.0
         grads = np.zeros_like(locs)
-        for i in range(len(locs)):
+        for i in read:
             value, gradient, _, _ = _reference_ssa_sample(d, locs[i], step_cfg)
             err = value - targets[i]
             total += err * err
             grads[i] = 2.0 * err * gradient
         losses.append(total)
-        if total < best_loss:
-            best_loss, best_locs = total, locs.copy()
-        if len(losses) >= 2 and total > losses[-2]:
-            streak += 1
-            if streak >= 10:
-                diverged = True
-                break
-        else:
-            streak = 0
-        locs -= lr * grads
-        locs[:, 0] = np.clip(locs[:, 0], 0, d.width - 1)
-        locs[:, 1] = np.clip(locs[:, 1], 0, d.height - 1)
-    return (best_locs if diverged else locs), np.array(losses), diverged
+        for i in sorted(moving):
+            moved = locs[i] - lr * grads[i]
+            moved[0] = np.clip(moved[0], 0, d.width - 1)
+            moved[1] = np.clip(moved[1], 0, d.height - 1)
+            if has_depth(moved):
+                locs[i] = moved
+            else:
+                moving.discard(i)
+                stopped.append(i)
+    end_cfg = replace(cfg, temperature=cfg.schedule.t_end)
+    for i in read:
+        start_err = _reference_ssa_sample(d, locations[i], end_cfg)[0] - targets[i]
+        end_err = _reference_ssa_sample(d, locs[i], end_cfg)[0] - targets[i]
+        if start_err * start_err < end_err * end_err:
+            locs[i] = locations[i]
+    return locs, np.array(losses), read, stopped
 
 
 def _holey_depth(h, w, seed, invalid=0.1):
@@ -512,20 +553,27 @@ def test_finite_difference_gradient_reads_the_four_stencil_points():
     assert finite_difference_gradient(d, loc, cfg, h).tolist() == expected
 
 
-@pytest.mark.parametrize("invalid", [0.0, 0.1])
+def _assert_refine_equals_reference(d, locs, targets, cfg, lr, steps):
+    res = refine_locations(d, SampleSet(locs), targets, cfg, lr=lr, steps=steps)
+    ref_locs, ref_losses, read, stopped = _reference_refine(d, locs, targets, cfg, lr, steps)
+    assert np.array_equal(res.locations.locations, ref_locs)
+    assert np.array_equal(res.losses, ref_losses)
+    return len(locs) - len(read), len(stopped)
+
+
+@pytest.mark.parametrize("invalid", [0.0, 0.1, 0.9])
 def test_refine_equals_the_per_location_loop(invalid):
+    """At 0.9 invalid some windows hold no valid depth: some samples start
+    in one and are never read, and some steps would land in one."""
     d = _holey_depth(40, 50, 59, invalid)
     rng = np.random.default_rng(61)
     locs = rng.uniform((0.0, 0.0), (49.0, 39.0), size=(24, 2))
     locs[:4] = [[0.0, 0.0], [49.0, 0.0], [0.0, 39.0], [49.0, 39.0]]
     targets = rng.uniform(500.0, 20000.0, size=24)
     cfg = SsaConfig(window=5, schedule=TemperatureSchedule(1.5, 0.1))
-    for lr, steps in ((1e-5, 30), (1e-3, 40)):  # the second diverges
-        res = refine_locations(d, SampleSet(locs), targets, cfg, lr=lr, steps=steps)
-        ref_locs, ref_losses, ref_diverged = _reference_refine(d, locs, targets, cfg, lr, steps)
-        assert np.array_equal(res.locations.locations, ref_locs)
-        assert np.array_equal(res.losses, ref_losses)
-        assert res.diverged == ref_diverged
+    for lr, steps in ((1e-5, 30), (1e-3, 40)):  # the second takes steps of many pixels
+        unread, stopped = _assert_refine_equals_reference(d, locs, targets, cfg, lr, steps)
+        assert (unread > 0 and stopped > 0) == (invalid == 0.9)
 
 
 def _window_kinds(monkeypatch):
@@ -544,14 +592,6 @@ def _window_kinds(monkeypatch):
     return kinds
 
 
-def _assert_refine_equals_reference(d, locs, targets, cfg, lr, steps):
-    res = refine_locations(d, SampleSet(locs), targets, cfg, lr=lr, steps=steps)
-    ref_locs, ref_losses, ref_diverged = _reference_refine(d, locs, targets, cfg, lr, steps)
-    assert np.array_equal(res.locations.locations, ref_locs)
-    assert np.array_equal(res.losses, ref_losses)
-    assert res.diverged == ref_diverged
-
-
 def test_refine_equals_the_per_location_loop_as_windows_change_kind(monkeypatch):
     """Locations walk from the border up a depth ramp and past a hole.
 
@@ -568,9 +608,11 @@ def test_refine_equals_the_per_location_loop_as_windows_change_kind(monkeypatch)
     cfg = SsaConfig(window=5, schedule=TemperatureSchedule(1.5, 0.1))
     kinds = _window_kinds(monkeypatch)
     _assert_refine_equals_reference(d, locs, targets, cfg, lr=1e-6, steps=40)
-    first = [k[0] for k in kinds]
+    walk, pick = kinds[:-1], kinds[-1]  # the last read scores the starts and ends at t_end
+    assert len(walk) == 40 and len(pick) == 2 * len(locs)
+    first = [k[0] for k in walk]
     assert "".join(c for i, c in enumerate(first) if i == 0 or c != first[i - 1]) == "cfhf"
-    full_steps = [k == "fff" for k in kinds]
+    full_steps = [k == "fff" for k in walk]
     assert any(full_steps) and not all(full_steps)
 
 
@@ -582,7 +624,7 @@ def test_refine_equals_the_per_location_loop_when_every_window_is_full(monkeypat
     cfg = SsaConfig(window=7, schedule=TemperatureSchedule(1.5, 0.1))
     kinds = _window_kinds(monkeypatch)
     _assert_refine_equals_reference(d, locs, targets, cfg, lr=1e-9, steps=30)
-    assert len(kinds) == 30 and all(k == "f" * 24 for k in kinds)
+    assert len(kinds) == 31 and all(k == "f" * 24 for k in kinds[:30]) and kinds[30] == "f" * 48
 
 
 @pytest.mark.parametrize("h, w", [(9, 11), (2, 2)])
@@ -598,32 +640,50 @@ def test_read_of_no_locations_returns_empty_arrays(h, w):
     assert res.locations.locations.shape == (0, 2) and res.losses.tolist() == [0.0, 0.0, 0.0]
 
 
-# SHA-256 of the refined locations, the losses and `diverged`, recorded with
-# the per-location loop before the batched read-out replaced it.
+def _sps_targets(kind, seed):
+    """A 120x160 scene, its 48 sps locations and their superpixels' mean depth."""
+    scene = gen_scene(kind, 120, 160, seed)
+    samples, seg = sps_sample(scene.rgb, 48, return_segmentation=True)
+    labels, gt = seg.labels.ravel(), scene.depth
+    valid = gt.valid.ravel()
+    targets = (np.bincount(labels[valid], weights=gt.depth.ravel()[valid], minlength=48)
+               / np.bincount(labels[valid], minlength=48))
+    return gt, samples, targets
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", SCENE_KINDS)
+def test_refine_never_returns_a_location_worse_than_its_start_at_t_end(kind, seed):
+    """Losses at different temperatures measure different blends, so each
+    sample's start and end are compared at the schedule's end temperature."""
+    gt, samples, targets = _sps_targets(kind, seed)
+    res = refine_locations(gt, samples, targets)
+    cold = replace(SsaConfig(), temperature=SsaConfig().schedule.t_end)
+    start, end = (ssa_read(gt, s.locations, cold).values - targets for s in (samples, res.locations))
+    assert np.all(end * end <= start * start)
+
+
+# SHA-256 of the refined locations and the losses, recorded when each sample
+# began to keep the better of its start and end at t_end.
 REFINE_DIGESTS = {
-    ("step-edge", 1): "af3262f62fea7f791f5df25573d29c8b54418da14649e5cb35afa0e1a5edd675",
-    ("step-edge", 20): "6d36686f96dd5212875457d94a7916029d8f9e10bf08371426de8c300f895793",
-    ("step-edge", 200): "398c6cffd5c2e270197dd04e00b0580db72b7acacdbe8cdc7f11be37565bce51",
-    ("piecewise-constant", 1): "da044718e0757eeefa2647801808d971fca20695d822c85f4f88a5d151e0a634",
-    ("piecewise-constant", 20): "6fef6acd688fccae279e5327a88c380b85f37aadd0d7568347418af62bbaf98c",
-    ("piecewise-constant", 200): "bad214dd80f21a50095ae4b50e266a66917021e633a25e97c7c05292e0e41836",
-    ("textured", 1): "d666a349361f05f566c09bce7e2b1c2f1c165b89e4c924c7b178f1f93038b76e",
-    ("textured", 20): "939daee3691a13f3e0f78e89f44f8a5b0d30add75a2a65e6bae0f0f438b6ff3c",
-    ("textured", 200): "9a6b16911e30248f3b8f16f069b17e12bacd843c9e070aaee38db1aaf3886dbe",
+    ("step-edge", 1): "b7eda3b911921395bfaa3b7b6af9a114a1b08449398ad096083c1367073e726d",
+    ("step-edge", 20): "b7d12ad3fdc07c82497e9b849d57dcc74d5df584b50a221884e27b12cddeb819",
+    ("step-edge", 200): "f71fdebecfdf49b7bbf57adb66219886bd74a6c2dc234371c896f476dd8745a9",
+    ("piecewise-constant", 1): "cdeb836154d8c5f665d2b08398baabaffd250a1fa02ccb26071b2a283c4b172a",
+    ("piecewise-constant", 20): "490b0a55519a9ea907f11d28ceaa1d80fd6e2b8fe49ef7e0cd388f96aaa9ac21",
+    ("piecewise-constant", 200): "6830a771baca2af84abb90f63ee50ceb42d0418103620fa621b5cdcfa0301143",
+    ("textured", 1): "fe4357cbe703e6fe669d71903930f857134433d383fa4a0b9a3aa870c38b2819",
+    ("textured", 20): "4cc130a1a4b3f3044ae032507f46e407e68654353d6bb2c3f59c1473b773b617",
+    ("textured", 200): "ac1cd65c2fb19362ad92d57905e2429144ad084ee673dabd8dbce05e1152c104",
 }
 
 
 @pytest.mark.parametrize("kind, steps", sorted(REFINE_DIGESTS))
 def test_refine_matches_golden_digests(kind, steps):
     """sps locations on a 120x160 scene, n=48, refined toward their superpixels' mean depth."""
-    scene = gen_scene(kind, 120, 160, 0)
-    samples, seg = sps_sample(scene.rgb, 48, return_segmentation=True)
-    labels, gt = seg.labels.ravel(), scene.depth
-    valid = gt.valid.ravel()
-    targets = (np.bincount(labels[valid], weights=gt.depth.ravel()[valid], minlength=48)
-               / np.bincount(labels[valid], minlength=48))
+    gt, samples, targets = _sps_targets(kind, 0)
     res = refine_locations(gt, samples, targets, SsaConfig(), steps=steps)
     digest = hashlib.sha256()
-    for a in (res.locations.locations, res.losses, np.array([res.diverged])):
+    for a in (res.locations.locations, res.losses):
         digest.update(np.ascontiguousarray(a).tobytes())
     assert digest.hexdigest() == REFINE_DIGESTS[kind, steps]
